@@ -1,6 +1,7 @@
 # Tier-1 verification for the DBToaster reproduction.
 #
-#   make check   — build + vet + tests (the ROADMAP.md tier-1 gate)
+#   make check   — gofmt gate + build + vet + tests, incl. the frozen
+#                  bench/ harness module (the ROADMAP.md tier-1 gate)
 #   make race    — the same tests under the race detector; required for
 #                  the concurrent sharded runtime (internal/runtime,
 #                  internal/engine, internal/server)
@@ -20,9 +21,11 @@ GO ?= go
 all: check race
 
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run xxx -bench '^(BenchmarkFinancial|BenchmarkWarehouse)/^dbtoaster$$' -benchtime 100x -benchmem .
 
 race:

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"dbtoaster/internal/runtime"
@@ -98,5 +99,49 @@ func TestSortedMapAllocBudget(t *testing.T) {
 	const budget = 1.0
 	if got > budget {
 		t.Errorf("sorted-map allocs/event = %g, want <= %g", got, budget)
+	}
+}
+
+// TestRegistryFanOutAllocsAndAdmitsOnce pins the registry's share of an
+// event: a steady-state batch over sixteen live queries allocates nothing,
+// and an event is admitted (validated and coerced against the catalog) once,
+// not once per query. The second half counts admissions by their one
+// observable cost: an int in a float column makes Coerce clone the tuple,
+// so a batch of such events costs one allocation per event — it cost
+// sixteen when every engine admitted for itself.
+func TestRegistryFanOutAllocsAndAdmitsOnce(t *testing.T) {
+	r := NewRegistry(true)
+	const queries = 16
+	for i := 0; i < queries; i++ {
+		installLive(t, r, fmt.Sprintf("q%d", i), fmt.Sprintf("select sum(volume) from bids where price > %d", i))
+	}
+	exact := make([]stream.Event, 256)
+	widened := make([]stream.Event, 256)
+	for i := range exact {
+		exact[i] = stream.Ins("bids", types.NewFloat(float64(i%32)), types.NewFloat(float64(i%5+1)))
+		widened[i] = stream.Ins("bids", types.NewInt(int64(i%32)), types.NewFloat(float64(i%5+1)))
+	}
+	feed := func(evs []stream.Event) func() {
+		return func() {
+			if err := r.OnEventBatch(evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(exact)() // warm: scratch slices sized, every map entry born
+	if got := testing.AllocsPerRun(10, feed(exact)); got != 0 {
+		t.Errorf("fan-out of %d events over %d queries: %g allocs, want 0", len(exact), queries, got)
+	}
+	if got := testing.AllocsPerRun(10, feed(widened)); got != float64(len(widened)) {
+		t.Errorf("fan-out of %d int-for-float events over %d queries: %g allocs, want one admission each = %d",
+			len(widened), queries, got, len(widened))
+	}
+	one := widened[0]
+	if got := testing.AllocsPerRun(10, func() {
+		if err := r.OnEvent(one); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("single-event fan-out: %g allocs, want 1 admission", got)
 	}
 }

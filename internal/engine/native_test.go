@@ -119,10 +119,10 @@ func TestNativeBakeoffQueries(t *testing.T) {
 	warehouse := tpch.NewGenerator(7, 2).Workload(300)
 	financial := orderbook.NewGenerator(7, 60).Events(300)
 	cases := []struct {
-		name    string
-		src     string
-		cat     *schema.Catalog
-		evs     []stream.Event
+		name string
+		src  string
+		cat  *schema.Catalog
+		evs  []stream.Event
 	}{
 		{"ssb-4.1", tpch.QuerySSB41, tpch.Catalog(), warehouse},
 		{"ssb-1.1", tpch.QuerySSB11, tpch.Catalog(), warehouse},

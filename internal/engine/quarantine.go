@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"dbtoaster/internal/runtime"
+	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
+	"dbtoaster/internal/types"
 )
 
 // Failure isolation: the fan-out treats each live query as a tenant whose
@@ -61,32 +63,96 @@ func (r *Registry) SetBudgetEnforcement(on bool) {
 
 // fanState snapshots what one fan-out pass needs under a single lock
 // acquisition.
-func (r *Registry) fanState() ([]*regEntry, Quota, bool) {
+func (r *Registry) fanState() (live []*regEntry, quota Quota, enforce, eventMajor bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.live, r.quota, r.enforceBudget
+	return r.live, r.quota, r.enforceBudget, r.eventMajor
 }
 
-// fanOut applies one event (batch=false) or evs (batch=true) to every
-// live engine, newest registration first, containing per-engine failures.
-// Healthy engines always see the delta even when another engine rejects
-// or dies on it.
-func (r *Registry) fanOut(evs []stream.Event, ev stream.Event, batch bool) error {
-	live, quota, enforce := r.fanState()
-	n := 1
-	if batch {
-		n = len(evs)
+// passState is one engine's outcome over a fan-out pass.
+type passState struct {
+	err     error // first ordinary or fatal engine error
+	pval    any   // recovered panic value
+	elapsed time.Duration
+}
+
+func (p *passState) stopped() bool { return p.err != nil || p.pval != nil }
+
+// maxScratchEvents bounds the admitted-events scratch kept between passes,
+// so one huge batch does not pin its footprint for the registry's lifetime.
+const maxScratchEvents = 4096
+
+// admit validates and coerces evs against cat, once for the whole fan-out
+// rather than once per engine, into the reused admitted slice. It stops at
+// the first rejected event and returns the admitted prefix with the
+// rejection: the engines apply exactly that prefix, which is also what an
+// engine fed the batch directly (admitting for itself) ends up applying.
+func (r *Registry) admit(cat *schema.Catalog, evs []stream.Event) ([]stream.Event, error) {
+	out := r.admitted[:0]
+	var err error
+	for _, ev := range evs {
+		var args types.Tuple
+		if args, err = coerce(cat, ev); err != nil {
+			break
+		}
+		out = append(out, stream.Event{Op: ev.Op, Relation: ev.Relation, Args: args})
 	}
-	timed := enforce && quota.TriggerBudget > 0 && n > 0
-	var firstErr error
+	if cap(out) <= maxScratchEvents {
+		r.admitted = out
+	} else {
+		r.admitted = nil
+	}
+	return out, err
+}
+
+// fanOut applies evs to every live engine, newest registration first,
+// containing per-engine failures. Healthy engines always see the delta
+// even when another engine rejects or dies on it. Passes must not overlap:
+// the caller serializes them (the server's committer does), as it must for
+// the single-threaded engines anyway.
+func (r *Registry) fanOut(evs []stream.Event) error {
+	live, quota, enforce, eventMajor := r.fanState()
+	if len(live) == 0 {
+		return nil
+	}
+	// Every query of one registry is prepared against the same schema; the
+	// oldest live query's catalog speaks for all.
+	admitted, firstErr := r.admit(live[len(live)-1].q.Catalog, evs)
+	n := len(admitted)
+	if n == 0 {
+		return firstErr
+	}
+	timed := enforce && quota.TriggerBudget > 0
+	if cap(r.pass) < len(live) {
+		r.pass = make([]passState, len(live))
+	}
+	pass := r.pass[:len(live)]
+	clear(pass)
+	if eventMajor && n > 1 {
+		// Some engine reads a map another (older) engine maintains: every
+		// engine must finish event i before any starts event i+1, or the
+		// reader would see the map as of the batch, not the event.
+		for i := range admitted {
+			for j, e := range live {
+				if !pass[j].stopped() {
+					runGuarded(e.eng, admitted[i:i+1], timed, &pass[j])
+				}
+			}
+		}
+	} else {
+		for j, e := range live {
+			runGuarded(e.eng, admitted, timed, &pass[j])
+		}
+	}
+
 	var cases []quarantineCase
-	for _, e := range live {
-		err, pval, elapsed := runGuarded(e.eng, evs, ev, batch, timed)
-		if pval != nil {
-			cases = append(cases, quarantineCase{e, fmt.Sprintf("trigger panic: %v", pval), true})
+	for j, e := range live {
+		p := &pass[j]
+		if p.pval != nil {
+			cases = append(cases, quarantineCase{e, fmt.Sprintf("trigger panic: %v", p.pval), true})
 			continue
 		}
-		if err != nil {
+		if err := p.err; err != nil {
 			var pe *runtime.PanicError
 			switch {
 			case errors.As(err, &pe):
@@ -101,11 +167,11 @@ func (r *Registry) fanOut(evs []stream.Event, ev stream.Event, batch bool) error
 			continue
 		}
 		if timed {
-			if elapsed > quota.TriggerBudget*time.Duration(n) {
+			if p.elapsed > quota.TriggerBudget*time.Duration(n) {
 				e.breaches++
 				if e.breaches >= quota.breachLimit() {
 					qe := &QuotaExceededError{Query: e.name, Resource: "trigger-budget",
-						Limit: uint64(quota.TriggerBudget) * uint64(n), Actual: uint64(elapsed)}
+						Limit: uint64(quota.TriggerBudget) * uint64(n), Actual: uint64(p.elapsed)}
 					cases = append(cases, quarantineCase{e, qe.Error(), false})
 					continue
 				}
@@ -135,29 +201,32 @@ func (r *Registry) fanOut(evs []stream.Event, ev stream.Event, batch bool) error
 	return firstErr
 }
 
-// runGuarded applies the delta to one engine behind a panic backstop. The
-// runtime's own containment converts trigger panics to *runtime.PanicError;
-// the recover here catches everything above that layer (admission coercion,
-// sharded dispatch, native wire encoding).
-func runGuarded(eng CompiledEngine, evs []stream.Event, ev stream.Event, batch, timed bool) (err error, pval any, elapsed time.Duration) {
+// runGuarded applies admitted events to one engine behind a panic backstop,
+// accumulating the outcome in p. The runtime's own containment converts
+// trigger panics to *runtime.PanicError; the recover here catches
+// everything above that layer (sharded dispatch, native wire encoding). A
+// Toaster takes the events as admitted; the other engine kinds keep their
+// own admission, which the admitted tuples pass unchanged.
+func runGuarded(eng CompiledEngine, evs []stream.Event, timed bool, p *passState) {
 	defer func() {
-		if p := recover(); p != nil {
-			pval = p
+		if v := recover(); v != nil {
+			p.pval = v
 		}
 	}()
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	if batch {
-		err = eng.OnEventBatch(evs)
+	if t, ok := eng.(*Toaster); ok {
+		p.err = t.onAdmitted(evs)
+	} else if len(evs) == 1 {
+		p.err = eng.OnEvent(evs[0])
 	} else {
-		err = eng.OnEvent(ev)
+		p.err = eng.OnEventBatch(evs)
 	}
 	if timed {
-		elapsed = time.Since(start)
+		p.elapsed += time.Since(start)
 	}
-	return
 }
 
 // applyQuarantines demotes the collected casualties under the registry

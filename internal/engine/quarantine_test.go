@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dbtoaster/internal/runtime"
+	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/types"
 )
@@ -14,10 +15,15 @@ import (
 // query, as the server does.
 func installLive(t *testing.T, r *Registry, name, src string) {
 	t.Helper()
+	installOver(t, r, testCatalog(), name, src)
+}
+
+func installOver(t *testing.T, r *Registry, cat *schema.Catalog, name, src string) {
+	t.Helper()
 	if err := r.Begin(name, src); err != nil {
 		t.Fatalf("Begin(%q): %v", name, err)
 	}
-	q, err := Prepare(src, testCatalog())
+	q, err := Prepare(src, cat)
 	if err != nil {
 		t.Fatalf("Prepare(%q): %v", src, err)
 	}

@@ -43,12 +43,22 @@ import (
 //     from the same WAL position (poolEntry.fromSeq == the borrower's
 //     fromSeq), since a view's contents are a function of the whole event
 //     prefix it has seen.
-//   - Owner precedes borrowers: events fan out newest-registration-first,
-//     so every borrower (younger by construction) fires before the owner
-//     updates the shared map — borrowers always read the map's pre-event
-//     state, which is what their compiled statement order (readers before
-//     writers, ir.SortStmts) expects. On Remove, ownership passes to the
-//     *oldest* borrower, which keeps the invariant: the promoted owner is
+//   - Borrowers precede owners, event by event: events fan out
+//     newest-registration-first, so every borrower (younger by
+//     construction) fires before the owner updates the shared map —
+//     borrowers read the map's pre-event state, which is what their
+//     compiled statement order (readers before writers, ir.SortStmts)
+//     expects. The invariant is per event, not per batch: a borrower whose
+//     remaining statements read an adopted map (a join or EXISTS over
+//     another query's aggregate) must not run event i+1 before the owner
+//     has applied event i. While any live borrower is of that kind, a
+//     batch is fanned out event-major (for each event, every engine);
+//     otherwise — adopted maps are then only read when results are
+//     assembled — engine-major (for each engine, the whole batch), which
+//     keeps each engine's working set hot. Install, Remove and quarantine
+//     re-derive which applies from the engines' kept statements
+//     (runtime.Engine.ReadsAdopted). On Remove, ownership passes to the
+//     *oldest* borrower, which keeps the order: the promoted owner is
 //     still older than every remaining borrower.
 type Registry struct {
 	mu      sync.Mutex
@@ -58,6 +68,14 @@ type Registry struct {
 	pool    map[string]*poolEntry
 	// live caches the live entries newest-first for the event fan-out.
 	live []*regEntry
+	// eventMajor is set while some live engine executes statements that
+	// read a map it borrows; batches then fan out event by event (see
+	// "Borrowers precede owners" above). Recomputed with live.
+	eventMajor bool
+	// Fan-out scratch, reused across passes (which the caller serializes).
+	one      [1]stream.Event
+	admitted []stream.Event
+	pass     []passState
 	// stash holds quarantined entries displaced by an in-flight revive
 	// (a REGISTER under a quarantined name); Abort restores them.
 	stash map[string]*regEntry
@@ -457,6 +475,13 @@ func (r *Registry) rebuildLiveLocked() {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].seq > live[j].seq })
 	r.live = live
+	r.eventMajor = false
+	for _, e := range live {
+		if t, ok := e.eng.(*Toaster); ok && t.rt.ReadsAdopted() {
+			r.eventMajor = true
+			break
+		}
+	}
 }
 
 // OnEvent fans one delta out to every live engine, newest registration
@@ -466,12 +491,15 @@ func (r *Registry) rebuildLiveLocked() {
 // and quota breaches quarantine the offending engine instead (see
 // quarantine.go).
 func (r *Registry) OnEvent(ev stream.Event) error {
-	return r.fanOut(nil, ev, false)
+	r.one[0] = ev
+	return r.fanOut(r.one[:])
 }
 
-// OnEventBatch fans a batch out to every live engine, newest first.
+// OnEventBatch fans a batch out to every live engine, newest first. The
+// outcome equals OnEvent per event in order, up to the first event the
+// catalog rejects: that one is reported and the rest of the batch dropped.
 func (r *Registry) OnEventBatch(evs []stream.Event) error {
-	return r.fanOut(evs, stream.Event{}, true)
+	return r.fanOut(evs)
 }
 
 // Get returns a live query's engine.

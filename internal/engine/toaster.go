@@ -105,6 +105,19 @@ func (t *Toaster) OnEvent(ev stream.Event) error {
 	return t.rt.OnEvent(ev.Relation, ev.Op == stream.Insert, args)
 }
 
+// onAdmitted applies events the registry's fan-out has already validated and
+// coerced against the catalog (Registry.admit); OnEvent is the same with
+// the admission in front.
+func (t *Toaster) onAdmitted(evs []stream.Event) error {
+	for i := range evs {
+		ev := &evs[i]
+		if err := t.rt.OnEvent(ev.Relation, ev.Op == stream.Insert, ev.Args); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // OnEventBatch implements Engine. The runtime applies events synchronously,
 // so batching here is a straight loop with no extra buffering.
 func (t *Toaster) OnEventBatch(evs []stream.Event) error {

@@ -350,6 +350,14 @@ func checkReadBeforeWrite(t *Trigger) error {
 	return nil
 }
 
+// Reads returns the maps the statement reads: every loop source and every
+// lookup in its bounds, lets, keys, condition and delta.
+func (s *Stmt) Reads() map[string]bool {
+	set := map[string]bool{}
+	collectReads(s, set)
+	return set
+}
+
 func collectReads(s *Stmt, set map[string]bool) {
 	for _, lp := range s.Loops {
 		set[lp.Map] = true

@@ -363,6 +363,26 @@ func (e *Engine) SharedMaps() []string {
 	return out
 }
 
+// ReadsAdopted reports whether any statement this engine executes reads a
+// map it adopted. Such a read expects the map's state from before the
+// current event, so the engine must run each event ahead of the map's
+// owner — event by event, not batch by batch (see engine.Registry).
+func (e *Engine) ReadsAdopted() bool {
+	if len(e.adopted) == 0 {
+		return false
+	}
+	for _, ct := range e.triggers {
+		for _, s := range ct.stmts {
+			for m := range s.Reads() {
+				if e.adopted[m] {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 func triggerKey(rel string, insert bool) string {
 	k := strings.ToLower(rel)
 	if insert {

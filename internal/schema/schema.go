@@ -143,13 +143,16 @@ func (r *Relation) Coerce(t types.Tuple) types.Tuple {
 // Catalog is a set of relations addressable by case-insensitive name.
 type Catalog struct {
 	rels map[string]*Relation
+	// exact indexes the same relations by their declared spelling, so the
+	// per-event lookups (which almost always use it) skip the case fold.
+	exact map[string]*Relation
 	// order preserves insertion order for deterministic listings.
 	order []string
 }
 
 // NewCatalog builds a catalog from the given relations.
 func NewCatalog(rels ...*Relation) *Catalog {
-	c := &Catalog{rels: make(map[string]*Relation)}
+	c := &Catalog{rels: make(map[string]*Relation), exact: make(map[string]*Relation)}
 	for _, r := range rels {
 		c.Add(r)
 	}
@@ -159,15 +162,33 @@ func NewCatalog(rels ...*Relation) *Catalog {
 // Add registers a relation, replacing any previous one of the same name.
 func (c *Catalog) Add(r *Relation) {
 	key := strings.ToLower(r.Name)
-	if _, exists := c.rels[key]; !exists {
+	if old, exists := c.rels[key]; exists {
+		delete(c.exact, old.Name)
+	} else {
 		c.order = append(c.order, key)
 	}
 	c.rels[key] = r
+	c.exact[r.Name] = r
 }
 
-// Relation looks up a relation by name (case-insensitive).
+// Relation looks up a relation by name (case-insensitive). The returned
+// pointer is the catalog's one handle for the relation: its Name is the
+// canonical spelling whatever case the caller used.
 func (c *Catalog) Relation(name string) (*Relation, bool) {
+	if r, ok := c.exact[name]; ok {
+		return r, true
+	}
 	r, ok := c.rels[strings.ToLower(name)]
+	return r, ok
+}
+
+// RelationBytes is Relation for a name still sitting in a read buffer; it
+// does not allocate when the name uses the declared spelling.
+func (c *Catalog) RelationBytes(name []byte) (*Relation, bool) {
+	if r, ok := c.exact[string(name)]; ok {
+		return r, true
+	}
+	r, ok := c.rels[strings.ToLower(string(name))]
 	return r, ok
 }
 

@@ -117,4 +117,18 @@ func TestCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "R" || names[1] != "S" {
 		t.Errorf("Names() = %v", names)
 	}
+	// Every spelling resolves to the one handle, replacements included.
+	r3 := NewRelation("r", "A:int")
+	c.Add(r3)
+	for _, name := range []string{"R", "r"} {
+		if got, ok := c.Relation(name); !ok || got != r3 {
+			t.Errorf("Relation(%q) = %v, want the replacement", name, got)
+		}
+		if got, ok := c.RelationBytes([]byte(name)); !ok || got != r3 {
+			t.Errorf("RelationBytes(%q) = %v, want the replacement", name, got)
+		}
+	}
+	if _, ok := c.RelationBytes([]byte("T")); ok {
+		t.Error("phantom relation found by bytes")
+	}
 }

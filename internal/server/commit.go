@@ -34,9 +34,14 @@ import (
 // both the ingest and server locks, so they observe a quiescent engine set
 // and may replace it.
 type commitReq struct {
-	evs  []stream.Event
+	evs []stream.Event
+	// enc is evs as log records (wal.AppendEventRecord), encoded by the
+	// producer before it queued the request; empty without a WAL.
+	enc  []byte
 	ctrl func() error
 	err  error // per-request apply verdict, set by the committer
+	// done carries the committer's reply; 1-buffered, so a session reuses
+	// one request (and channel) for every delta command it serves.
 	done chan error
 }
 
@@ -49,8 +54,12 @@ type committer struct {
 	pendingEvents int
 	wake          chan struct{} // 1-buffered; a wake may cover many requests
 	stop          chan struct{}
-	stopOnce     sync.Once
-	done         chan struct{}
+	stopOnce      sync.Once
+	done          chan struct{}
+	// Owned by the commit loop: the emptied request list that becomes
+	// pending at the next swap, and the per-group list of encode buffers.
+	spare []*commitReq
+	encs  [][]byte
 }
 
 // OverloadedError reports a shed request: admission control refused it
@@ -94,9 +103,13 @@ func (s *Server) stopCommitter() {
 	<-s.com.done
 }
 
-// commit hands a producer's events to the committer and blocks until the
-// group containing them is durable and applied. This is the only ingest
-// path; it replaces per-connection WAL appends under the server lock.
+// commit hands the session's request — evs, parsed into the request's slab
+// — to the committer and blocks until the group containing it is durable
+// and applied. This is the only ingest path. The log records are encoded
+// here, on the connection's goroutine while the values are still in cache,
+// into the session's own buffer: connections encode in parallel, and the
+// committer's serial section is left with numbering, checksumming and
+// writing them.
 //
 // Admission control: with MaxPending set, a request that would push the
 // queued backlog past the budget is shed with an OverloadedError instead
@@ -104,11 +117,19 @@ func (s *Server) stopCommitter() {
 // while the committer drains. A request arriving at an empty backlog is
 // always admitted, even if it alone exceeds the budget: rejecting it could
 // never succeed on retry.
-func (s *Server) commit(evs []stream.Event) error {
+func (ss *session) commit(evs []stream.Event) error {
+	ss.evs = evs // keep the grown slice for the next request
 	if len(evs) == 0 {
 		return nil
 	}
-	req := &commitReq{evs: evs, done: make(chan error, 1)}
+	s, req := ss.srv, &ss.req
+	req.evs, req.enc = evs, req.enc[:0]
+	if s.wal != nil {
+		for i := range evs {
+			ev := &evs[i]
+			req.enc = wal.AppendEventRecord(req.enc, ev.Relation, ev.Op == stream.Insert, ev.Args)
+		}
+	}
 	s.com.mu.Lock()
 	if s.maxPending > 0 && s.com.pendingEvents > 0 && s.com.pendingEvents+len(evs) > s.maxPending {
 		pending := s.com.pendingEvents
@@ -152,14 +173,11 @@ func (s *Server) runCommitter() {
 func (s *Server) commitPending() {
 	for {
 		s.com.mu.Lock()
-		group := s.com.pending
-		s.com.pending = nil
+		all := s.com.pending
+		s.com.pending = s.com.spare
 		s.com.pendingEvents = 0
 		s.com.mu.Unlock()
-		if len(group) == 0 {
-			return
-		}
-		for len(group) > 0 {
+		for group := all; len(group) > 0; {
 			cut := len(group)
 			for i, req := range group {
 				if req.ctrl != nil {
@@ -174,6 +192,14 @@ func (s *Server) commitPending() {
 			}
 			s.runCtrl(group[0])
 			group = group[1:]
+		}
+		// The two request lists alternate, so steady-state grouping
+		// allocates nothing; cleared, so an answered request is not kept
+		// reachable from here.
+		clear(all)
+		s.com.spare = all[:0]
+		if len(all) == 0 {
+			return
 		}
 	}
 }
@@ -224,17 +250,12 @@ func (s *Server) commitGroup(group []*commitReq) {
 	defer func() { s.noteGroupDuration(time.Since(start)) }()
 	s.ingest.Lock()
 	if s.wal != nil {
-		total := 0
+		encs := s.com.encs[:0]
 		for _, req := range group {
-			total += len(req.evs)
+			encs = append(encs, req.enc)
 		}
-		datas := make([][]byte, 0, total)
-		for _, req := range group {
-			for _, ev := range req.evs {
-				datas = append(datas, wal.AppendEvent(nil, ev.Relation, ev.Op == stream.Insert, ev.Args))
-			}
-		}
-		if _, err := s.wal.AppendBatch(datas); err != nil {
+		s.com.encs = encs
+		if _, err := s.wal.AppendEncoded(encs); err != nil {
 			s.ingest.Unlock()
 			werr := fmt.Errorf("wal append: %w", err)
 			for _, req := range group {
@@ -252,7 +273,7 @@ func (s *Server) commitGroup(group []*commitReq) {
 	s.mu.Lock()
 	applied := 0
 	for _, req := range group {
-		req.err = s.applyLocked(req.evs)
+		req.err = s.reg.OnEventBatch(req.evs)
 		if req.err == nil {
 			s.events += uint64(len(req.evs))
 			applied += len(req.evs)
@@ -269,15 +290,6 @@ func (s *Server) commitGroup(group []*commitReq) {
 		}
 		req.done <- err
 	}
-}
-
-// applyLocked feeds one request's events to every live query via the
-// registry fan-out. Caller holds s.mu.
-func (s *Server) applyLocked(evs []stream.Event) error {
-	if len(evs) == 1 {
-		return s.reg.OnEvent(evs[0])
-	}
-	return s.reg.OnEventBatch(evs)
 }
 
 // noteGroupDuration folds one group's wall-clock cost into the EMA behind

@@ -493,6 +493,7 @@ func FuzzServerCommand(f *testing.F) {
 	f.Add("DELETE R 1 2")
 	f.Add("BATCH 2\nINSERT R 1 2\nINSERT R 3 4")
 	f.Add("BATCH 99")
+	f.Add("BATCH 1000000000\nINSERT R 1|2\nRESULT")
 	f.Add("RESULT\nSTATS\nLIST\nPROGRAM")
 	f.Add("REGISTER q select sum(A) from R")
 	f.Add("INSERT R \x00\xff not-a-number")

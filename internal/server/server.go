@@ -14,6 +14,8 @@
 //	DELETE <relation> v1|v2|...   → OK | ERR <msg>
 //	BATCH <n>                     → reads n INSERT/DELETE lines, applies
 //	                                them as one batch → OK | ERR <msg>
+//	                                (n above 1048576 is refused and the
+//	                                connection closed)
 //	REGISTER <name> <sql>         → OK (compiles another standing query off
 //	                                to the side, catches it up from the
 //	                                retained WAL, and swaps it live without
@@ -56,6 +58,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -517,6 +520,7 @@ func (s *Server) serve(conn net.Conn) {
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
+	ss := newSession(s)
 	for {
 		// The read deadline re-arms per command and spans the whole
 		// command, including a BATCH body: a client that stalls mid-batch
@@ -527,11 +531,11 @@ func (s *Server) serve(conn net.Conn) {
 		if !sc.Scan() {
 			break
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		quit := s.handleSafe(sc, w, line)
+		quit := ss.handleSafe(sc, w, line)
 		w.Flush()
 		if quit {
 			return
@@ -553,34 +557,129 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
+// session is one connection's ingest state. Everything a delta request
+// needs besides its values is allocated once per connection and reused:
+// the parser (with the last relation it resolved), the events slice, the
+// WAL encode buffer and the commit request with its reply channel.
+type session struct {
+	srv    *Server
+	parser deltaParser
+	evs    []stream.Event
+	req    commitReq
+}
+
+// maxSessionEvents is how many events' worth of buffers a request is given
+// up front and a connection keeps afterwards: a request's first value slab
+// is sized for at most this many events, and the events slice and encode
+// buffer of a larger batch are dropped with the request instead of pinned
+// for the connection's life.
+const maxSessionEvents = 4096
+
+func newSession(s *Server) *session {
+	ss := &session{srv: s, parser: deltaParser{cat: s.cat}}
+	ss.req.done = make(chan error, 1)
+	return ss
+}
+
 // handleSafe runs one command, converting a handler panic into an ERR
 // reply: one poisoned command must not take down the process (or the
 // connection) while other clients stream deltas. Handlers hold the server
 // lock only through defer-unlocked helpers, so the server stays usable
 // after the recover.
-func (s *Server) handleSafe(sc *bufio.Scanner, w *bufio.Writer, line string) (quit bool) {
+func (ss *session) handleSafe(sc *bufio.Scanner, w *bufio.Writer, line []byte) (quit bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(w, "ERR internal error: %v\n", r)
 			quit = false
 		}
 	}()
-	return s.handle(sc, w, line)
+	return ss.handle(sc, w, line)
 }
 
-// applyEvent routes one delta through the group-commit stage: it is
-// logged (write-ahead, coalesced with concurrent connections into one WAL
-// write) and applied to every registered query before the call returns.
-// An acknowledged event is always recoverable; a logged-but-rejected
-// event replays to the same rejection, so recovered state matches live
-// state either way.
-func (s *Server) applyEvent(ev stream.Event) error {
-	return s.commit([]stream.Event{ev})
+// handle dispatches one command line (trimmed, still in the scanner's
+// buffer). The delta commands are parsed in place; everything else goes
+// through the string-based command table.
+func (ss *session) handle(sc *bufio.Scanner, w *bufio.Writer, line []byte) (quit bool) {
+	cmd, rest, _ := bytes.Cut(line, space)
+	op, isDelta := deltaOp(cmd)
+	switch {
+	case isDelta:
+		ss.begin()
+		ev, err := ss.parser.parse(op, rest, 1)
+		if err == nil {
+			err = ss.commit(append(ss.evs, ev))
+		}
+		return replyAck(w, err)
+	case bytes.EqualFold(cmd, []byte("BATCH")):
+		return ss.handleBatch(sc, w, rest)
+	}
+	return ss.srv.handle(w, string(line))
 }
 
-// applyBatch routes a batch through the group-commit stage as one unit.
-func (s *Server) applyBatch(evs []stream.Event) error {
-	return s.commit(evs)
+// begin starts a new delta request: a fresh value slab (see
+// deltaParser.parse), the connection's events slice rewound.
+func (ss *session) begin() {
+	ss.parser.slab = nil
+	if cap(ss.evs) > maxSessionEvents {
+		ss.evs, ss.req.enc = nil, nil
+	}
+	ss.evs = ss.evs[:0]
+}
+
+// replyAck writes a delta request's one-line reply.
+func replyAck(w *bufio.Writer, err error) (quit bool) {
+	if err != nil {
+		fmt.Fprintf(w, "ERR %s\n", err)
+	} else {
+		w.WriteString("OK\n")
+	}
+	return false
+}
+
+// handleBatch reads the n delta lines of "BATCH <n>" and commits them as
+// one request.
+func (ss *session) handleBatch(sc *bufio.Scanner, w *bufio.Writer, arg []byte) (quit bool) {
+	n, err := strconv.Atoi(string(bytes.TrimSpace(arg)))
+	if err != nil || n < 0 {
+		w.WriteString("ERR usage: BATCH <n>\n")
+		return false
+	}
+	if n > maxBatch {
+		// The body cannot be skipped without reading it; give up on the
+		// connection rather than buffer or scan an unbounded request.
+		fmt.Fprintf(w, "ERR batch too large (max %d)\n", maxBatch)
+		return true
+	}
+	ss.begin()
+	evs := ss.evs
+	var parseErr error
+	for i := 0; i < n; i++ {
+		// Consume all n delta lines even after a parse error, so the
+		// protocol stays in sync.
+		if !sc.Scan() {
+			w.WriteString("ERR truncated batch\n")
+			return true
+		}
+		if parseErr != nil {
+			continue
+		}
+		cmd, rest, _ := bytes.Cut(bytes.TrimSpace(sc.Bytes()), space)
+		op, ok := deltaOp(cmd)
+		if !ok {
+			parseErr = fmt.Errorf("batch line %d: expected INSERT or DELETE, got %q", i+1, cmd)
+			continue
+		}
+		ev, err := ss.parser.parse(op, rest, n-i)
+		if err != nil {
+			parseErr = fmt.Errorf("batch line %d: %w", i+1, err)
+			continue
+		}
+		evs = append(evs, ev)
+	}
+	if parseErr == nil {
+		parseErr = ss.commit(evs)
+	}
+	return replyAck(w, parseErr)
 }
 
 // resultOf assembles a query's current answer ("" = the oldest registered)
@@ -665,65 +764,10 @@ func (s *Server) statsBody() (events uint64, entries int, lines []string) {
 	return s.events, entries, lines
 }
 
-func (s *Server) handle(sc *bufio.Scanner, w *bufio.Writer, line string) (quit bool) {
+// handle runs one non-delta command.
+func (s *Server) handle(w *bufio.Writer, line string) (quit bool) {
 	cmd, rest, _ := strings.Cut(line, " ")
 	switch strings.ToUpper(cmd) {
-	case "INSERT", "DELETE":
-		ev, err := s.parseDelta(cmd, rest)
-		if err == nil {
-			err = s.applyEvent(ev)
-		}
-		if err != nil {
-			fmt.Fprintf(w, "ERR %s\n", err)
-			return false
-		}
-		fmt.Fprintln(w, "OK")
-	case "BATCH":
-		n, err := strconv.Atoi(strings.TrimSpace(rest))
-		if err != nil || n < 0 {
-			fmt.Fprintln(w, "ERR usage: BATCH <n>")
-			return false
-		}
-		// The initial capacity is clamped: n is client-controlled, and a
-		// "BATCH 1000000000" line must not allocate gigabytes up front.
-		sz := n
-		if sz > 4096 {
-			sz = 4096
-		}
-		evs := make([]stream.Event, 0, sz)
-		var parseErr error
-		for i := 0; i < n; i++ {
-			// Consume all n delta lines even after a parse error, so the
-			// protocol stays in sync.
-			if !sc.Scan() {
-				fmt.Fprintln(w, "ERR truncated batch")
-				return true
-			}
-			dcmd, drest, _ := strings.Cut(strings.TrimSpace(sc.Text()), " ")
-			if !strings.EqualFold(dcmd, "INSERT") && !strings.EqualFold(dcmd, "DELETE") {
-				if parseErr == nil {
-					parseErr = fmt.Errorf("batch line %d: expected INSERT or DELETE, got %q", i+1, dcmd)
-				}
-				continue
-			}
-			ev, err := s.parseDelta(dcmd, drest)
-			if err != nil {
-				if parseErr == nil {
-					parseErr = fmt.Errorf("batch line %d: %w", i+1, err)
-				}
-				continue
-			}
-			evs = append(evs, ev)
-		}
-		if parseErr != nil {
-			fmt.Fprintf(w, "ERR %s\n", parseErr)
-			return false
-		}
-		if err := s.applyBatch(evs); err != nil {
-			fmt.Fprintf(w, "ERR %s\n", err)
-			return false
-		}
-		fmt.Fprintln(w, "OK")
 	case "REGISTER":
 		name, sqlText, ok := strings.Cut(rest, " ")
 		if !ok || strings.TrimSpace(sqlText) == "" {
@@ -837,79 +881,13 @@ func (s *Server) handle(sc *bufio.Scanner, w *bufio.Writer, line string) (quit b
 	return false
 }
 
-// parseDelta parses the body of an INSERT/DELETE command into an event.
-func (s *Server) parseDelta(cmd, rest string) (stream.Event, error) {
-	rel, valstr, _ := strings.Cut(rest, " ")
-	args, err := s.parseTuple(rel, valstr)
-	if err != nil {
-		return stream.Event{}, err
-	}
-	op := stream.Insert
-	if strings.EqualFold(cmd, "DELETE") {
-		op = stream.Delete
-	}
-	return stream.Event{Op: op, Relation: rel, Args: args}, nil
-}
-
-// parseTuple converts '|'-separated literals per the relation's schema.
-func (s *Server) parseTuple(rel, valstr string) (types.Tuple, error) {
-	r, ok := s.cat.Relation(rel)
-	if !ok {
-		return nil, fmt.Errorf("unknown relation %q", rel)
-	}
-	if valstr == "" {
-		return nil, fmt.Errorf("missing values for %s", rel)
-	}
-	parts := strings.Split(valstr, "|")
-	if len(parts) != r.Arity() {
-		return nil, fmt.Errorf("%s expects %d values, got %d", rel, r.Arity(), len(parts))
-	}
-	out := make(types.Tuple, len(parts))
-	for i, p := range parts {
-		v, err := ParseValue(r.Columns[i].Type, p)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", r.Columns[i].Name, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// ParseValue parses one literal of the given kind. Every kind trims
-// surrounding whitespace — the protocol's separators are '|' and newline,
-// so "a| x " means the string "x", not " x "; an empty (or all-blank)
-// field is the empty string.
-func ParseValue(kind types.Kind, s string) (types.Value, error) {
-	switch kind {
-	case types.KindInt:
-		n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewInt(n), nil
-	case types.KindFloat:
-		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewFloat(f), nil
-	case types.KindString:
-		return types.NewString(strings.TrimSpace(s)), nil
-	case types.KindBool:
-		b, err := strconv.ParseBool(strings.TrimSpace(s))
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(b), nil
-	}
-	return types.Null, fmt.Errorf("unsupported kind %s", kind)
-}
-
-// Client is a minimal protocol client for tests, tools, and examples.
+// Client is a minimal protocol client for tests, tools, and examples. It is
+// not safe for concurrent use: every request is rendered into one reused
+// buffer and sent with a single Write.
 type Client struct {
 	conn net.Conn
 	r    *bufio.Scanner
-	w    *bufio.Writer
+	buf  []byte
 }
 
 // Dial connects to a server.
@@ -918,26 +896,41 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &Client{conn: conn, r: sc, w: bufio.NewWriter(conn)}, nil
+	return &Client{conn: conn, r: sc}
 }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) roundTrip(line string) (string, []string, error) {
-	fmt.Fprintln(c.w, line)
-	if err := c.w.Flush(); err != nil {
-		return "", nil, err
+// send writes the rendered request and reads the reply's first line, which
+// stays in the scanner's buffer until the next read.
+func (c *Client) send() (head []byte, err error) {
+	if _, err := c.conn.Write(c.buf); err != nil {
+		return nil, err
 	}
 	if !c.r.Scan() {
-		return "", nil, fmt.Errorf("server closed connection")
+		return nil, fmt.Errorf("server closed connection")
 	}
-	head := c.r.Text()
-	if strings.HasPrefix(head, "ERR") {
-		return "", nil, fmt.Errorf("%s", strings.TrimPrefix(head, "ERR "))
+	head = c.r.Bytes()
+	if bytes.HasPrefix(head, []byte("ERR")) {
+		return nil, fmt.Errorf("%s", strings.TrimPrefix(string(head), "ERR "))
 	}
+	return head, nil
+}
+
+func (c *Client) roundTrip(line string) (string, []string, error) {
+	c.buf = append(append(c.buf[:0], line...), '\n')
+	h, err := c.send()
+	if err != nil {
+		return "", nil, err
+	}
+	head := string(h)
 	var body []string
 	if n, ok := bodyCount(line, head); ok {
 		for i := 0; i < n; i++ {
@@ -975,49 +968,27 @@ func bodyCount(line, head string) (int, bool) {
 
 // Insert sends an insert; values are rendered per Value.String.
 func (c *Client) Insert(rel string, vals ...types.Value) error {
-	return c.sendDelta("INSERT", rel, vals)
+	c.buf = appendDelta(c.buf[:0], stream.Insert, rel, vals)
+	_, err := c.send()
+	return err
 }
 
 // Delete sends a delete.
 func (c *Client) Delete(rel string, vals ...types.Value) error {
-	return c.sendDelta("DELETE", rel, vals)
-}
-
-func (c *Client) sendDelta(cmd, rel string, vals []types.Value) error {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = v.String()
-	}
-	_, _, err := c.roundTrip(fmt.Sprintf("%s %s %s", cmd, rel, strings.Join(parts, "|")))
+	c.buf = appendDelta(c.buf[:0], stream.Delete, rel, vals)
+	_, err := c.send()
 	return err
 }
 
 // Batch sends a batch of deltas through the BATCH command: one round trip
 // and one server-side lock acquisition for the whole batch.
 func (c *Client) Batch(evs []stream.Event) error {
-	fmt.Fprintf(c.w, "BATCH %d\n", len(evs))
-	for _, ev := range evs {
-		cmd := "INSERT"
-		if ev.Op == stream.Delete {
-			cmd = "DELETE"
-		}
-		parts := make([]string, len(ev.Args))
-		for i, v := range ev.Args {
-			parts[i] = v.String()
-		}
-		fmt.Fprintf(c.w, "%s %s %s\n", cmd, ev.Relation, strings.Join(parts, "|"))
+	c.buf = append(strconv.AppendInt(append(c.buf[:0], "BATCH "...), int64(len(evs)), 10), '\n')
+	for i := range evs {
+		c.buf = appendDelta(c.buf, evs[i].Op, evs[i].Relation, evs[i].Args)
 	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	if !c.r.Scan() {
-		return fmt.Errorf("server closed connection")
-	}
-	head := c.r.Text()
-	if strings.HasPrefix(head, "ERR") {
-		return fmt.Errorf("%s", strings.TrimPrefix(head, "ERR "))
-	}
-	return nil
+	_, err := c.send()
+	return err
 }
 
 // Register compiles another standing query on the server.

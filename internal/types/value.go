@@ -153,6 +153,20 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends exactly the bytes of v.String() to dst without the
+// intermediate string — the wire codec renders whole requests through it.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	default:
+		// String payloads, booleans and NULL render from existing strings.
+		return append(dst, v.String()...)
+	}
+}
+
 // Equal reports SQL equality with numeric kind coercion (1 = 1.0 is true).
 // NULL equals nothing, including NULL.
 func (v Value) Equal(o Value) bool {

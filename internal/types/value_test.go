@@ -138,10 +138,16 @@ func TestValueString(t *testing.T) {
 		{NewBool(true), "true"},
 		{NewBool(false), "false"},
 		{Null, "NULL"},
+		{NewFloat(1e308), "1e+308"},
+		{NewInt(math.MinInt64), "-9223372036854775808"},
+		{PosInf, "?"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.v, got, c.want)
+		}
+		if got := string(c.v.AppendString([]byte("k="))); got != "k="+c.want {
+			t.Errorf("AppendString(%#v) = %q, want %q", c.v, got, "k="+c.want)
 		}
 	}
 }

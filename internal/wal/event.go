@@ -56,6 +56,22 @@ func AppendEvent(dst []byte, rel string, insert bool, args types.Tuple) []byte {
 	return types.AppendKey(dst, args)
 }
 
+// AppendEventRecord appends one event to dst already laid out as a log
+// record, with the two fields only the log can assign left zero:
+//
+//	uint32 payloadLen | uint32 0 (crc) | uint64 0 (seq) | AppendEvent bytes
+//
+// A producer encodes its whole request this way into one buffer, off the
+// commit path; Manager.AppendEncoded assigns sequence numbers and CRCs as
+// it copies the records into the log write.
+func AppendEventRecord(dst []byte, rel string, insert bool, args types.Tuple) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, recHdrLen+8)...)
+	dst = AppendEvent(dst, rel, insert, args)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-recHdrLen))
+	return dst
+}
+
 // DecodeEvent inverts AppendEvent. It never panics on malformed input.
 func DecodeEvent(b []byte) (rel string, insert bool, args types.Tuple, err error) {
 	if len(b) < 5 {

@@ -288,23 +288,49 @@ func (m *Manager) appendRecords(datas [][]byte) (uint64, error) {
 	if err := m.usableLocked(); err != nil {
 		return 0, err
 	}
-	if len(datas) == 0 {
+	buf := m.buf[:0]
+	for i, data := range datas {
+		buf = appendRecord(buf, m.seq+uint64(i)+1, data)
+	}
+	return m.writeLocked(buf, len(datas))
+}
+
+// AppendEncoded logs the records of every buffer in encs — each a run of
+// AppendEventRecord output — with consecutive sequence numbers in one write
+// (and, in Sync mode, one fsync), returning the last. What reaches the file
+// is identical to AppendBatch over the same events; the encoding work was
+// done by the callers, so this is a copy, a sequence number and a CRC per
+// record. The buffers are only read.
+func (m *Manager) AppendEncoded(encs [][]byte) (uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.usableLocked(); err != nil {
+		return 0, err
+	}
+	buf, seq := m.buf[:0], m.seq
+	for _, enc := range encs {
+		var err error
+		if buf, seq, err = sealRecords(buf, seq, enc); err != nil {
+			return 0, err
+		}
+	}
+	return m.writeLocked(buf, int(seq-m.seq))
+}
+
+// writeLocked appends n framed records (numbered from m.seq+1) to the
+// active segment in one write and advances the sequence counter.
+func (m *Manager) writeLocked(buf []byte, n int) (uint64, error) {
+	m.buf = buf
+	if n == 0 {
 		return m.seq, nil
 	}
-	buf := m.buf[:0]
-	seq := m.seq
-	for _, data := range datas {
-		seq++
-		buf = appendRecord(buf, seq, data)
-	}
-	m.buf = buf
 	if err := m.fireWrite(m.active, "wal.append", buf); err != nil {
 		return 0, err
 	}
-	m.seq = seq
+	m.seq += uint64(n)
 	m.hadState = true
 	if st := m.opts.Stats; st != nil {
-		st.Appends.Add(uint64(len(datas)))
+		st.Appends.Add(uint64(n))
 		st.AppendedBytes.Add(uint64(len(buf)))
 	}
 	if m.opts.Sync {
@@ -312,7 +338,7 @@ func (m *Manager) appendRecords(datas [][]byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	return seq, nil
+	return m.seq, nil
 }
 
 // Sync forces the active segment to disk (a no-op risk knob for callers

@@ -109,6 +109,30 @@ func appendRecord(dst []byte, seq uint64, data []byte) []byte {
 	return append(dst, data...)
 }
 
+// sealRecords copies pre-framed records (see AppendEventRecord) from enc to
+// dst, numbering them seq+1, seq+2, … and filling in each CRC; the result
+// is byte for byte what appendRecord produces for the same data. It returns
+// the extended dst and the last sequence number assigned.
+func sealRecords(dst []byte, seq uint64, enc []byte) ([]byte, uint64, error) {
+	for len(enc) > 0 {
+		if len(enc) < recHdrLen+8 {
+			return dst, seq, fmt.Errorf("wal: encoded record truncated (%d bytes)", len(enc))
+		}
+		payloadLen := int(binary.LittleEndian.Uint32(enc))
+		if payloadLen < 8 || payloadLen > maxRecord || len(enc) < recHdrLen+payloadLen {
+			return dst, seq, fmt.Errorf("wal: encoded record length %d does not fit the %d bytes given", payloadLen, len(enc))
+		}
+		start := len(dst)
+		dst = append(dst, enc[:recHdrLen+payloadLen]...)
+		payload := dst[start+recHdrLen:]
+		seq++
+		binary.LittleEndian.PutUint64(payload, seq)
+		binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+		enc = enc[recHdrLen+payloadLen:]
+	}
+	return dst, seq, nil
+}
+
 // scanRecords walks the records in a segment body (the bytes after the
 // header), calling visit for each intact record, and returns the length
 // of the valid prefix. A truncated or CRC-mismatched record ends the scan

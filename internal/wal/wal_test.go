@@ -409,3 +409,70 @@ func TestSyncModeAppends(t *testing.T) {
 		t.Fatalf("replayed %d, want 10", len(seqs))
 	}
 }
+
+// TestAppendEncodedGoldenRecord pins the on-disk bytes of one appended event
+// record and requires the pre-encoded append path to write exactly what
+// AppendBatch writes for the same events: the record format is not this
+// path's to change.
+func TestAppendEncodedGoldenRecord(t *testing.T) {
+	evs := []struct {
+		rel    string
+		insert bool
+		args   types.Tuple
+	}{
+		{"bids", true, types.Tuple{types.NewInt(7), types.NewFloat(2.5)}},
+		{"asks", false, types.Tuple{types.NewInt(-1), types.NewString("x"), types.NewBool(true)}},
+		{"bids", false, types.Tuple{types.NewInt(7), types.NewFloat(2.5)}},
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, b := mustOpen(t, dirA, Options{}), mustOpen(t, dirB, Options{})
+	var datas, encs [][]byte
+	var enc []byte
+	for i, ev := range evs {
+		datas = append(datas, AppendEvent(nil, ev.rel, ev.insert, ev.args))
+		enc = AppendEventRecord(enc, ev.rel, ev.insert, ev.args)
+		if i == 0 { // two producers' buffers in one group
+			encs, enc = append(encs, enc), nil
+		}
+	}
+	encs = append(encs, enc, nil)
+	lastA, err := a.AppendBatch(datas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastB, err := b.AppendEncoded(encs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastA != 3 || lastB != 3 {
+		t.Fatalf("last seqs = %d, %d, want 3, 3", lastA, lastB)
+	}
+	segA, _ := os.ReadFile(filepath.Join(dirA, segName(1)))
+	segB, _ := os.ReadFile(filepath.Join(dirB, segName(1)))
+	if !bytes.Equal(segA, segB) {
+		t.Fatalf("AppendEncoded wrote different bytes than AppendBatch:\n%x\n%x", segA, segB)
+	}
+	const golden = "23000000" + "460d097e" + // payload length 35, CRC
+		"0100000000000000" + // seq 1
+		"01" + "04000000" + "62696473" + // insert, "bids"
+		"01" + "0700000000000000" + // int 7
+		"02" + "0000000000000440" // float 2.5
+	first := segA[segHdrLen : segHdrLen+recHdrLen+0x23]
+	if got := fmt.Sprintf("%x", first); got != golden {
+		t.Fatalf("first record = %s\nwant          %s", got, golden)
+	}
+
+	// A buffer that is not a run of whole records is refused before anything
+	// reaches the file.
+	for _, bad := range [][]byte{{1, 2, 3}, enc[:len(enc)-1], append([]byte{0xff, 0xff, 0xff, 0x7f}, enc[4:]...)} {
+		if _, err := b.AppendEncoded([][]byte{enc, bad}); err == nil {
+			t.Fatalf("AppendEncoded accepted malformed buffer %x", bad)
+		}
+	}
+	if b.LastSeq() != 3 {
+		t.Fatalf("refused appends moved the sequence to %d", b.LastSeq())
+	}
+	if segB2, _ := os.ReadFile(filepath.Join(dirB, segName(1))); !bytes.Equal(segB, segB2) {
+		t.Fatal("refused appends wrote to the segment")
+	}
+}

@@ -5,9 +5,17 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt ==" && unformatted=$(gofmt -l .) && if [ -n "$unformatted" ]; then
+    echo "gofmt -l reports:" && echo "$unformatted" && exit 1
+fi
 echo "== build ==" && go build ./...
 echo "== vet ==" && go vet ./...
 echo "== test ==" && go test ./...
+# bench/ is its own module and BENCHMARK.json forbids editing it: a
+# signature change in a package the harness calls (server.ParseValue,
+# server.Client, wal.AppendEvent, Registry.OnEventBatch, ...) must fail
+# here, not in the benchmark run.
+echo "== bench harness (vet + test) ==" && (cd bench && go vet ./... && go test ./...)
 echo "== bench smoke ==" && go test -run xxx -bench '^(BenchmarkFinancial|BenchmarkWarehouse)/^dbtoaster$' -benchtime 100x -benchmem .
 
 # Metrics-overhead smoke: fails if enabling instrumentation regresses the
@@ -64,6 +72,7 @@ echo "== chaos / overload smoke ==" && GOMAXPROCS=4 go test -race -count=1 \
     ./internal/server/ ./internal/engine/
 bash scripts/chaos_smoke.sh
 echo "== server fuzz smoke ==" && go test ./internal/server/ -run xxx -fuzz FuzzServerCommand -fuzztime 10s
+go test ./internal/server/ -run xxx -fuzz FuzzDeltaCodec -fuzztime 10s
 
 echo "== race ==" && go test -race ./...
 echo "tier-1 OK"
