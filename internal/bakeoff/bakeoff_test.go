@@ -144,6 +144,12 @@ func TestCompileProfile(t *testing.T) {
 	if p.Maps == 0 || p.Triggers == 0 || p.Statements == 0 || p.GeneratedBytes == 0 {
 		t.Errorf("profile incomplete: %+v", p)
 	}
+	// The (mfgr = 'MFGR#1' or mfgr = 'MFGR#2') inclusion–exclusion product
+	// pins mfgr to two constants at once; simplification must annihilate
+	// it rather than materialise 15 always-empty maps (66 in all).
+	if p.Maps > 51 {
+		t.Errorf("SSB 4.1 materialises %d maps, want at most 51", p.Maps)
+	}
 	if p.CompileTime <= 0 || p.CodegenTime <= 0 {
 		t.Errorf("timings missing: %+v", p)
 	}

@@ -144,29 +144,40 @@ func TestQuarantineReviveAbortRestoresEntry(t *testing.T) {
 	}
 }
 
-func TestQuarantineEntriesQuota(t *testing.T) {
-	r := NewRegistry(true)
-	r.SetQuota(Quota{MaxEntries: 8})
-	installLive(t, r, "qbig", "select B, sum(A) from R group by B")
-	installLive(t, r, "qsmall", "select sum(C) from S")
+// TestQuarantineSizeQuotas covers both size limits; the byte limit is 8
+// entries of a packed int1 map as Map.ApproxBytes lays them out (key +
+// value + primary cell = 38 B each).
+func TestQuarantineSizeQuotas(t *testing.T) {
+	for _, tc := range []struct {
+		quota  Quota
+		reason string
+	}{
+		{Quota{MaxEntries: 8}, "map-entries"},
+		{Quota{MaxBytes: 8 * 38}, "map-bytes"},
+	} {
+		r := NewRegistry(true)
+		r.SetQuota(tc.quota)
+		installLive(t, r, "qbig", "select B, sum(A) from R group by B")
+		installLive(t, r, "qsmall", "select sum(C) from S")
 
-	for i := int64(0); i < 16; i++ {
-		if err := r.OnEvent(insRB("R", 1, i)); err != nil {
+		for i := int64(0); i < 16; i++ {
+			if err := r.OnEvent(insRB("R", 1, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info := infoOf(t, r, "qbig")
+		if info.State != StateQuarantined {
+			t.Fatalf("qbig state = %v, want quarantined", info.State)
+		}
+		if !strings.Contains(info.Reason, tc.reason) {
+			t.Fatalf("qbig reason = %q, want %s breach", info.Reason, tc.reason)
+		}
+		if st := infoOf(t, r, "qsmall").State; st != StateLive {
+			t.Fatalf("qsmall state = %v, want live", st)
+		}
+		if err := r.OnEvent(insRB("S", 1, 2)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	info := infoOf(t, r, "qbig")
-	if info.State != StateQuarantined {
-		t.Fatalf("qbig state = %v, want quarantined", info.State)
-	}
-	if !strings.Contains(info.Reason, "map-entries") {
-		t.Fatalf("qbig reason = %q, want map-entries breach", info.Reason)
-	}
-	if st := infoOf(t, r, "qsmall").State; st != StateLive {
-		t.Fatalf("qsmall state = %v, want live", st)
-	}
-	if err := r.OnEvent(insRB("S", 1, 2)); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -280,28 +280,21 @@ type RobustStats struct {
 type MapStats struct {
 	Label   string
 	Name    string
-	Layout  string // physical layout ("int1", "int2", "generic")
+	Layout  string // physical layout ("int1".."int4", "generic")
 	Entries Gauge
 	Peak    Gauge
+	// EntryBytes is the resident cost of one live entry as the map's owner
+	// lays it out — key, value, 8 bytes of chain links per slice index, its
+	// primary-table cell — restated when an index is added.
+	EntryBytes Gauge
 }
 
-// ApproxBytes estimates the map's resident bytes from its layout: packed
-// layouts store 8-byte keys (16 for int2) and 8-byte values in Go map
-// cells; the generic layout holds an entry struct, its key string, and the
-// boxed tuple (~96 bytes measured for small keys). An estimate, not an
+// ApproxBytes estimates the map's resident bytes as live entries times
+// EntryBytes: runtime.Map.ApproxBytes without its slice-index head tables,
+// which are dimension-sized and not tracked here. An estimate, not an
 // accounting — the Prometheus export labels it accordingly.
 func (m *MapStats) ApproxBytes() uint64 {
-	n := uint64(m.Entries.Load())
-	switch m.Layout {
-	case "int1":
-		return n * 24
-	case "int2":
-		return n * 32
-	case "int3", "int4":
-		return n * 48 // [4]uint64 key + float64 value in Go map cells
-	default:
-		return n * 112
-	}
+	return uint64(m.Entries.Load() * m.EntryBytes.Load())
 }
 
 // Config tunes a Sink.

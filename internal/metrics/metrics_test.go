@@ -170,6 +170,7 @@ func TestSnapshotAndLines(t *testing.T) {
 	}
 	tr.Errors.Inc()
 	m := s.Map("main", "q_sum", "int1")
+	m.EntryBytes.Set(30)
 	for i := 0; i < 4; i++ {
 		m.Peak.MaxTo(m.Entries.Inc())
 	}
@@ -195,7 +196,7 @@ func TestSnapshotAndLines(t *testing.T) {
 	if len(snap.Maps) != 1 || snap.Maps[0].Entries != 3 || snap.Maps[0].Peak != 4 {
 		t.Errorf("Maps = %+v", snap.Maps)
 	}
-	if snap.Maps[0].ApproxBytes != 3*24 {
+	if snap.Maps[0].ApproxBytes != 3*30 {
 		t.Errorf("ApproxBytes = %d", snap.Maps[0].ApproxBytes)
 	}
 	if snap.Shard == nil || snap.Shard.Batches != 1 || snap.Shard.Events != 10 {

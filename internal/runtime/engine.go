@@ -255,17 +255,24 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 			m.gauges = e.sink.Map(opts.MetricsLabel, name, m.kind.String())
 			m.gauges.Entries.Set(int64(m.Len()))
 			m.gauges.Peak.MaxTo(int64(m.peak))
+			m.gauges.EntryBytes.Set(int64(m.entryBytes()))
 		}
 		e.maps[name] = m
 	}
-	// Register slice indexes before any data arrives.
-	if !opts.NoSliceIndex {
-		for _, t := range prog.Triggers {
-			for _, s := range t.Stmts {
-				for _, lp := range s.Loops {
-					if pos := boundPositions(lp); len(pos) > 0 && len(pos) < len(lp.Bound) {
-						e.maps[lp.Map].EnsureSlice(pos)
-					}
+	// Register slice indexes before any data arrives. A loop walks its
+	// map's slots and chains in place, so a statement must not write the
+	// map it iterates; the compiler never emits one (a statement's loops
+	// range over the maps its target's delta is defined over, not the
+	// target), and a hand-built program that does is refused here rather
+	// than left to skip or revisit entries.
+	for _, t := range prog.Triggers {
+		for _, s := range t.Stmts {
+			for _, lp := range s.Loops {
+				if lp.Map == s.Target {
+					return nil, fmt.Errorf("runtime: statement on %s loops over its own target %s", t.Name(), s.Target)
+				}
+				if pos := boundPositions(lp); !opts.NoSliceIndex && len(pos) > 0 && len(pos) < len(lp.Bound) {
+					e.maps[lp.Map].EnsureSlice(pos)
 				}
 			}
 		}
@@ -399,8 +406,13 @@ func triggerKey(rel string, insert bool) string {
 // per-trigger counts are exact, latency is sampled (Sink.Sampled) so the
 // two clock reads amortize across the sample interval.
 func (e *Engine) OnEvent(rel string, insert bool, args types.Tuple) error {
+	return e.apply(e.trigger(rel, insert), args)
+}
+
+// apply runs one event through its resolved trigger (nil: the query does
+// not mention the relation).
+func (e *Engine) apply(ct *compiledTrigger, args types.Tuple) error {
 	e.events++
-	ct := e.trigger(rel, insert)
 	if ct == nil {
 		return nil
 	}
@@ -509,11 +521,17 @@ type Event struct {
 }
 
 // OnEventBatch applies a batch of deltas in order. It is semantically
-// identical to calling OnEvent per element; batching exists so callers can
-// amortize their own per-event dispatch costs.
+// identical to calling OnEvent per element, but resolves the trigger once
+// per run of equal (Rel, Insert) instead of hashing the relation name for
+// every event — bulk loads are long runs of one relation.
 func (e *Engine) OnEventBatch(evs []Event) error {
-	for _, ev := range evs {
-		if err := e.OnEvent(ev.Rel, ev.Insert, ev.Args); err != nil {
+	var ct *compiledTrigger
+	for i := range evs {
+		ev := &evs[i]
+		if i == 0 || ev.Insert != evs[i-1].Insert || ev.Rel != evs[i-1].Rel {
+			ct = e.trigger(ev.Rel, ev.Insert)
+		}
+		if err := e.apply(ct, ev.Args); err != nil {
 			return err
 		}
 	}
@@ -622,12 +640,10 @@ func (e *Engine) compileStmt(s *ir.Stmt, slots map[string]int) (stmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The key tuple and encode buffer are reused across calls: Map.AddKey
-	// copies what it keeps, and engines are single-goroutine. Encoding here
-	// (rather than inside Add) means the statement pays for exactly one
-	// encode per executed update.
-	key := make(types.Tuple, len(s.Keys))
-	var kbuf []byte
+	// The probe is reused across calls: the map copies what it keeps, and
+	// engines are single-goroutine. Boxed closures only ever run over
+	// generic-layout maps, so the probe's boxed form is the one consulted.
+	k := &key{vals: make(types.Tuple, len(s.Keys))}
 	body := func(env *cenv) {
 		for _, lt := range lets {
 			env.slots[lt.slot] = lt.fn(env)
@@ -640,9 +656,8 @@ func (e *Engine) compileStmt(s *ir.Stmt, slots map[string]int) (stmtFn, error) {
 		if f == 0 {
 			return
 		}
-		fillKey(env, key)
-		kbuf = types.AppendKey(kbuf[:0], key)
-		target.AddKey(kbuf, key, f)
+		fillKey(env, k.vals)
+		target.add(k, f)
 	}
 	// Wrap loops innermost-out.
 	for i := len(s.Loops) - 1; i >= 0; i-- {
@@ -805,13 +820,10 @@ func (e *Engine) compileExpr(x ir.Expr, slots map[string]int) (valFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Reused buffers: Map.GetKey only reads the encoded key.
-		key := make(types.Tuple, len(x.Keys))
-		var kbuf []byte
+		k := &key{vals: make(types.Tuple, len(x.Keys))}
 		return func(env *cenv) types.Value {
-			fill(env, key)
-			kbuf = types.AppendKey(kbuf[:0], key)
-			return types.NewFloat(m.GetKey(kbuf))
+			fill(env, k.vals)
+			return types.NewFloat(m.get(k))
 		}, nil
 	case *ir.Arith:
 		l, err := e.compileExpr(x.L, slots)

@@ -256,6 +256,39 @@ func TestEngineIgnoresUnknownRelations(t *testing.T) {
 	}
 }
 
+// TestTriggerResolutionAcrossRuns drives OnEventBatch's once-per-run
+// trigger resolution through every boundary it can get wrong: a run of one
+// relation, a switch of op, a switch of spelling, an unknown relation in
+// between (resolved as "no trigger"), and back — against the same events
+// applied one at a time.
+func TestTriggerResolutionAcrossRuns(t *testing.T) {
+	c := compileSQL(t, rstCatalog(), "select B, sum(A) from R group by B")
+	row := func(a, b int64) types.Tuple { return types.Tuple{types.NewInt(a), types.NewInt(b)} }
+	evs := []Event{
+		{"R", true, row(1, 7)}, {"R", true, row(2, 7)}, {"R", false, row(1, 7)},
+		{"Z", true, row(9, 9)}, {"Z", true, row(9, 9)}, {"r", true, row(4, 7)},
+		{"S", true, row(7, 1)}, {"R", true, row(8, 7)}, {"R", false, row(2, 7)},
+	}
+	single, _ := NewEngine(c.Program, Options{})
+	for _, ev := range evs {
+		if err := single.OnEvent(ev.Rel, ev.Insert, ev.Args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch, _ := NewEngine(c.Program, Options{})
+	if err := batch.OnEventBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []*Engine{single, batch} {
+		if got := eng.Map("q_c1").Get(types.Tuple{types.NewInt(7)}); got != 12 {
+			t.Errorf("sum(A) for B=7 = %v, want 4+8", got)
+		}
+		if eng.Events() != uint64(len(evs)) {
+			t.Errorf("events = %d, want %d", eng.Events(), len(evs))
+		}
+	}
+}
+
 func TestMapZeroEntriesRemoved(t *testing.T) {
 	cat := rstCatalog()
 	c := compileSQL(t, cat, "select B, sum(A) from R group by B")

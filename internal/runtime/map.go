@@ -4,14 +4,22 @@
 // subset of key positions, backing the compiler's foreach loops) and a
 // sorted treap mirror (backing MIN/MAX and threshold range reads).
 //
-// Maps come in two physical layouts selected from the program's static
-// type annotations (ir.InferTypes). All-int key tuples of arity 1 to 4
-// pack into native uint64 / [2]uint64 / [4]uint64 Go map keys with
-// unboxed float64 values — no types.Value boxing, no variable-length
-// byte-key encoding, no per-operation kind dispatch. Everything else
-// (string or float keys, arity ≥ 5, sorted mirrors, untyped programs)
-// uses the generic layout: a byte-encoded key string probed through
-// reused scratch buffers.
+// Every map keeps its entries exactly once, in a dense slot array, and
+// reaches them through one or more access paths: the primary index (all
+// key positions, unique) and the slice indexes (a subset of positions,
+// each a doubly-linked chain of slots per distinct bound sub-key). An
+// access path is an open-addressing table of slot references — it stores
+// no keys and no values — so updating an existing entry touches no slice
+// index, inserting a new key writes one small head table per index, and
+// deleting unlinks in O(1).
+//
+// Keys come in two physical forms selected from the program's static type
+// annotations (ir.InferTypes). All-int key tuples of arity 1 to 4 pack
+// into native words beside the value — no types.Value boxing, no kind
+// dispatch. Everything else (string or float keys, arity ≥ 5, sorted
+// mirrors, untyped programs) uses the generic form: boxed values in a
+// flat side array. Both forms share every line of table, chain and slot
+// management below.
 //
 // Programs run either as pre-compiled closures — the Go analogue of the
 // paper's generated C++ — or through a direct IR interpreter kept for the
@@ -21,6 +29,11 @@ package runtime
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"dbtoaster/internal/ir"
@@ -29,76 +42,60 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// storeKind selects a map's physical layout.
+// storeKind selects a map's key form: the packed-int key arity (storeI1 to
+// storeI4), or storeGeneric for boxed keys of any arity.
 type storeKind uint8
 
 const (
-	// storeGeneric keys on the injective byte encoding of the tuple.
 	storeGeneric storeKind = iota
-	// storeI1 packs a single int key into a uint64.
 	storeI1
-	// storeI2 packs two int keys into a [2]uint64.
 	storeI2
-	// storeI3 and storeI4 pack three or four int keys into a zero-padded
-	// [4]uint64 (all keys of one map share an arity, so padding cannot
-	// collide).
 	storeI3
 	storeI4
 )
 
 func (k storeKind) String() string {
-	switch k {
-	case storeI1:
-		return "int1"
-	case storeI2:
-		return "int2"
-	case storeI3:
-		return "int3"
-	case storeI4:
-		return "int4"
-	default:
+	if k == storeGeneric {
 		return "generic"
 	}
+	return fmt.Sprintf("int%d", k)
 }
 
-// pkArity returns the packed key arity (0 for the generic layout).
-func (k storeKind) pkArity() int {
-	switch k {
-	case storeI1:
-		return 1
-	case storeI2:
-		return 2
-	case storeI3:
-		return 3
-	case storeI4:
-		return 4
-	}
-	return 0
+// key is the probe of one map access, in whichever form the map stores:
+// ints for packed layouts, vals (full key width) for the generic one. An
+// access through a slice index fills only the index's bound positions.
+type key struct {
+	ints [4]uint64
+	vals types.Tuple
 }
 
 // Map is one materialized view map.
 type Map struct {
-	decl *ir.MapDecl
-	kind storeKind
+	decl  *ir.MapDecl
+	kind  storeKind
+	arity int
 
-	// Generic layout.
-	entries map[types.Key]*entry
-	slices  []*sliceIndex
+	// Slot s occupies words[s*stride:(s+1)*stride]: the packed key (kind
+	// words, none for the generic form), the value's float bits, then one
+	// next/prev link word per slice index. Stored values are never zero, so
+	// a zero value word marks a free slot. The generic form keeps slot s's
+	// key in vals[s*arity:(s+1)*arity].
+	words  []uint64
+	stride int
+	zero   []uint64 // stride zero words, appended to open a slot
+	vals   []types.Value
+	free   []int32 // vacated slots, reused before the array grows
+	n      int     // live entries
 
-	// Typed layouts: packed int keys, unboxed float64 values.
-	i1       map[uint64]float64
-	i2       map[[2]uint64]float64
-	i2slices []*i2Slice
-	iN       map[[4]uint64]float64 // storeI3/storeI4, zero-padded
-	iNslices []*iNSlice
+	primary index
+	indexes []*index
 
 	sorted *treap.Tree
-	// scratch is the reused key-encoding buffer: Get/Add encode the key
-	// tuple into it and probe with the zero-allocation m[Key(buf)] idiom.
-	// Maps are single-goroutine, like the engines that own them.
-	scratch []byte
-	// scanBuf is the reused tuple typed layouts unpack into during Scan;
-	// it is only valid inside the visit callback.
+	// probe backs the boxed accessors (Get/Add); scanBuf is the reused
+	// tuple packed layouts unpack into for visit callbacks, valid only
+	// inside the callback. Maps are single-goroutine, like the engines
+	// that own them.
+	probe   key
 	scanBuf types.Tuple
 	// updates counts non-zero Add calls: the per-map overhead breakdown
 	// the paper's profiler displays (§4.2).
@@ -111,76 +108,40 @@ type Map struct {
 	gauges *metrics.MapStats
 }
 
-// entry keeps its own materialized Key so removal paths (hash bucket,
-// slice indexes) never re-encode or re-allocate the key string.
-type entry struct {
-	key   types.Key
-	tuple types.Tuple
-	val   float64
+// index is one access path into a map's slots: a linear-probing table
+// hashed on a subset of key positions. The primary index covers every
+// position, so each cell is one entry; a slice index's cell is the head of
+// the chain of entries sharing that bound sub-key, threaded through the
+// entries' link words. Cells carry the hash beside the slot, so growing
+// and deleting never dereference an entry.
+type index struct {
+	m         *Map
+	positions []int    // hashed key positions, ascending
+	link      int      // entry word holding this index's chain link; 0 for the primary
+	cells     []uint64 // hash<<32 | slot+1; 0 = empty; len is a power of two
+	used      int
+	probe     key // Iterate's reused probe
 }
 
-type sliceIndex struct {
-	positions []int // bound key positions
-	buckets   map[types.Key]map[types.Key]*entry
-	scratch   []byte // reused bound-key encoding buffer
-	// typed/typedN/owner are set on packed-int-key maps: the handle fronts
-	// a packed index and Iterate delegates to it.
-	typed  *i2Slice
-	typedN *iNSlice
-	owner  *Map
-}
+const (
+	minCells = 8
+	// cellBytes is the resident cost of one occupied table cell at the mean
+	// load factor between two doublings (8 B / 0.36).
+	cellBytes = 22
+)
 
-// i2Slice is the specialized secondary index for two-int-key maps: one
-// bound position, buckets keyed by the bound value, each bucket holding
-// the full packed keys (with their values duplicated so iteration never
-// needs a second probe of the primary map).
-type i2Slice struct {
-	pos     int // the bound key position (0 or 1)
-	buckets map[uint64]map[[2]uint64]float64
-}
-
-// iNSlice is the packed secondary index for three- and four-int-key maps.
-// Buckets key on the full-width bound key — bound positions filled, the
-// rest zero — which is unambiguous because an index binds a fixed position
-// set. Like i2Slice, buckets duplicate the values so iteration never
-// re-probes the primary map.
-type iNSlice struct {
-	positions []int // bound key positions, ascending
-	buckets   map[[4]uint64]map[[4]uint64]float64
-}
-
-// boundOf projects a full packed key onto the index's bound positions.
-func (s *iNSlice) boundOf(k [4]uint64) [4]uint64 {
-	var b [4]uint64
-	for _, p := range s.positions {
-		b[p] = k[p]
-	}
-	return b
-}
-
-func (s *iNSlice) set(k [4]uint64, v float64) {
-	bk := s.boundOf(k)
-	b, ok := s.buckets[bk]
-	if !ok {
-		b = make(map[[4]uint64]float64)
-		s.buckets[bk] = b
-	}
-	b[k] = v
-}
-
-func (s *iNSlice) remove(k [4]uint64) {
-	bk := s.boundOf(k)
-	if b, ok := s.buckets[bk]; ok {
-		delete(b, k)
-		if len(b) == 0 {
-			delete(s.buckets, bk)
-		}
-	}
-}
+// Per-process hash seeds (strings, words): table layout is not observable
+// — scans walk the slot array and chains are in insertion order — so
+// seeding costs no determinism and keeps probe runs unpredictable to
+// whoever chooses the keys.
+var (
+	hashSeed = maphash.MakeSeed()
+	intSeed  = rand.Uint64()
+)
 
 // NewMap creates an empty generic-layout map for the declaration; a sorted
 // mirror is attached when the compiler requested one. Engines call
-// newMapWithKind to select a specialized layout from the program's type
+// newMapWithKind to select a packed layout from the program's type
 // annotations.
 func NewMap(decl *ir.MapDecl) *Map {
 	return newMapWithKind(decl, storeGeneric)
@@ -190,21 +151,30 @@ func newMapWithKind(decl *ir.MapDecl, kind storeKind) *Map {
 	if kind != storeGeneric && decl.Sorted {
 		panic("runtime: sorted maps must use generic storage")
 	}
-	m := &Map{decl: decl, kind: kind}
-	switch kind {
-	case storeI1:
-		m.i1 = make(map[uint64]float64)
-	case storeI2:
-		m.i2 = make(map[[2]uint64]float64)
-	case storeI3, storeI4:
-		m.iN = make(map[[4]uint64]float64)
-	default:
-		m.entries = make(map[types.Key]*entry)
+	m := &Map{decl: decl, kind: kind, arity: len(decl.Keys)}
+	m.setStride(int(kind) + 1)
+	all := make([]int, m.arity)
+	for i := range all {
+		all[i] = i
 	}
+	m.primary = *m.newIndex(all, 0)
+	m.probe.vals = make(types.Tuple, m.arity)
+	m.scanBuf = make(types.Tuple, m.arity)
 	if decl.Sorted {
 		m.sorted = treap.New()
 	}
 	return m
+}
+
+func (m *Map) newIndex(positions []int, link int) *index {
+	ix := &index{m: m, positions: positions, link: link, cells: make([]uint64, minCells)}
+	ix.probe.vals = make(types.Tuple, m.arity)
+	return ix
+}
+
+func (m *Map) setStride(n int) {
+	m.stride = n
+	m.zero = make([]uint64, n)
 }
 
 // Decl returns the map's declaration.
@@ -214,40 +184,34 @@ func (m *Map) Decl() *ir.MapDecl { return m.decl }
 func (m *Map) Name() string { return m.decl.Name }
 
 // Len returns the number of non-zero entries.
-func (m *Map) Len() int {
-	switch m.kind {
-	case storeI1:
-		return len(m.i1)
-	case storeI2:
-		return len(m.i2)
-	case storeI3, storeI4:
-		return len(m.iN)
-	default:
-		return len(m.entries)
+func (m *Map) Len() int { return m.n }
+
+// entryBytes is the resident cost of one live entry: its slot words (key,
+// value, 8 B of links per slice index), its primary-table cell, and for
+// the generic form its boxed key values.
+func (m *Map) entryBytes() uint64 {
+	b := uint64(m.stride)*8 + cellBytes
+	if m.kind == storeGeneric {
+		b += uint64(m.arity) * 40
 	}
+	return b
 }
 
-// ApproxBytes estimates the map's resident size from its layout, using
-// the same per-entry heuristic as metrics.MapStats.ApproxBytes (packed
-// layouts are a key plus an unboxed value; generic entries carry the
-// encoded key string, the boxed value, and hash-map overhead). It is
+// ApproxBytes estimates the map's resident size from its layout: live
+// entries at entryBytes each plus one head-table cell per distinct bound
+// sub-key of every slice index. It depends only on the live state — not on
+// slot or table capacity history — so recovery reproduces it, and it is
 // allocation-free, for per-event quota checks.
 func (m *Map) ApproxBytes() uint64 {
-	n := uint64(m.Len())
-	switch m.kind {
-	case storeI1:
-		return n * 24
-	case storeI2:
-		return n * 32
-	case storeI3, storeI4:
-		return n * 48
-	default:
-		return n * 112
+	b := uint64(m.n) * m.entryBytes()
+	for _, ix := range m.indexes {
+		b += uint64(ix.used) * cellBytes
 	}
+	return b
 }
 
-// packInt converts one tuple position of a typed map to its packed form.
-// Typed layouts exist only for maps whose every access site is statically
+// packInt converts one tuple position of a packed map to its stored form.
+// Packed layouts exist only for maps whose every access site is statically
 // int; a non-int value here means the caller bypassed the type system.
 func (m *Map) packInt(v types.Value) uint64 {
 	if v.Kind() != types.KindInt {
@@ -256,247 +220,328 @@ func (m *Map) packInt(v types.Value) uint64 {
 	return uint64(v.Int())
 }
 
-// packIN packs a 3- or 4-int key tuple into the zero-padded wide form.
-func (m *Map) packIN(key types.Tuple) [4]uint64 {
-	var k [4]uint64
-	for i, v := range key {
-		k[i] = m.packInt(v)
-	}
-	return k
-}
-
-// Get returns the value at key (0 when absent). Allocation-free: generic
-// layouts encode the key into the map's scratch buffer, typed layouts
-// pack it into native ints.
-func (m *Map) Get(key types.Tuple) float64 {
-	switch m.kind {
-	case storeI1:
-		return m.i1[m.packInt(key[0])]
-	case storeI2:
-		return m.i2[[2]uint64{m.packInt(key[0]), m.packInt(key[1])}]
-	case storeI3, storeI4:
-		return m.iN[m.packIN(key)]
-	default:
-		m.scratch = types.AppendKey(m.scratch[:0], key)
-		return m.GetKey(m.scratch)
-	}
-}
-
-// GetKey returns the value at a pre-encoded key (the types.AppendKey wire
-// form; 0 when absent). Compiled closures that already hold the encoded
-// bytes probe through here so each key is encoded exactly once. Only valid
-// on generic-layout maps; typed layouts are probed through their packed
-// accessors.
-func (m *Map) GetKey(k []byte) float64 {
-	if e, ok := m.entries[types.Key(k)]; ok {
-		return e.val
-	}
-	return 0
-}
-
-// Add adds delta to the entry at key; exact-zero entries are removed
-// (0 and absent are semantically identical for ring aggregates, and
-// removal keeps loop enumerations tight under deletions). Steady-state
-// updates to existing entries are allocation-free; only first inserts
-// into the generic layout materialize a Key string and clone the tuple
-// (typed layouts never allocate per entry).
-func (m *Map) Add(key types.Tuple, delta float64) {
-	if delta == 0 {
+// fill loads boxed values into the given positions of a probe.
+func (m *Map) fill(k *key, pos []int, vals types.Tuple) {
+	if m.kind != storeGeneric {
+		for i, p := range pos {
+			k.ints[p] = m.packInt(vals[i])
+		}
 		return
 	}
-	switch m.kind {
-	case storeI1:
-		m.addI1(m.packInt(key[0]), delta)
-	case storeI2:
-		m.addI2([2]uint64{m.packInt(key[0]), m.packInt(key[1])}, delta)
-	case storeI3, storeI4:
-		m.addIN(m.packIN(key), delta)
-	default:
-		m.scratch = types.AppendKey(m.scratch[:0], key)
-		m.AddKey(m.scratch, key, delta)
+	for i, p := range pos {
+		k.vals[p] = vals[i]
 	}
 }
 
-// AddKey is Add with a pre-encoded key: k must be the types.AppendKey
-// encoding of key. The caller keeps ownership of k (it may be a reused
-// scratch buffer); AddKey copies it only when inserting a new entry.
-// Generic layout only, like GetKey.
-func (m *Map) AddKey(k []byte, key types.Tuple, delta float64) {
+// mix folds one word into a running hash: a 64×64→128-bit multiply with
+// its halves xored, so every input bit — float keys differ only in their
+// top bits, ids often only in their low ones — reaches the low bits a
+// small table indexes by.
+func mix(h, v uint64) uint64 {
+	hi, lo := bits.Mul64(h^v, 0x9E3779B97F4A7C15)
+	return hi ^ lo
+}
+
+// hashInts hashes the probe's packed ints at the given positions.
+func hashInts(pos []int, k *key) uint32 {
+	h := intSeed
+	for _, p := range pos {
+		h = mix(h, k.ints[p])
+	}
+	return uint32(h)
+}
+
+// hashVals hashes the probe's boxed values at the given positions, by kind
+// and payload, matching the strict equality matches applies.
+func hashVals(pos []int, k *key) uint32 {
+	h := intSeed
+	for _, p := range pos {
+		switch v := k.vals[p]; v.Kind() {
+		case types.KindString:
+			h = mix(h, maphash.String(hashSeed, v.Str()))
+		case types.KindFloat:
+			h = mix(h, math.Float64bits(v.Float())+uint64(types.KindFloat))
+		default:
+			h = mix(h, uint64(v.Int())+uint64(v.Kind()))
+		}
+	}
+	return uint32(h)
+}
+
+// matches reports whether slot s's key equals the probe at the given
+// positions (boxed values: same kind and payload).
+func (m *Map) matches(s int32, pos []int, k *key) bool {
+	if m.kind != storeGeneric {
+		e := m.words[int(s)*m.stride:]
+		for _, p := range pos {
+			if e[p] != k.ints[p] {
+				return false
+			}
+		}
+		return true
+	}
+	e := m.vals[int(s)*m.arity:]
+	for _, p := range pos {
+		if e[p] != k.vals[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// slotKey loads slot s's key into a probe; the generic form aliases the
+// stored values, so k must not be filled afterwards.
+func (m *Map) slotKey(s int32, k *key) {
+	if m.kind != storeGeneric {
+		copy(k.ints[:], m.words[int(s)*m.stride:][:m.kind])
+		return
+	}
+	k.vals = m.vals[int(s)*m.arity:][:m.arity]
+}
+
+// value returns slot s's value word.
+func (m *Map) value(s int32) *uint64 { return &m.words[int(s)*m.stride+int(m.kind)] }
+
+func cell(h uint32, s int32) uint64 { return uint64(h)<<32 | uint64(s+1) }
+
+// find probes for the cell whose slot matches k on the index's positions,
+// returning the slot, the cell's position and k's hash — or slot -1 and
+// the position of the empty cell that ended the probe (where put would
+// place k).
+func (ix *index) find(k *key) (s int32, at, h uint32) {
+	if ix.m.kind != storeGeneric {
+		h = hashInts(ix.positions, k)
+	} else {
+		h = hashVals(ix.positions, k)
+	}
+	mask := uint32(len(ix.cells) - 1)
+	for at = h & mask; ; at = (at + 1) & mask {
+		c := ix.cells[at]
+		if c == 0 {
+			return -1, at, h
+		}
+		if uint32(c>>32) == h {
+			if s = int32(uint32(c)) - 1; ix.m.matches(s, ix.positions, k) {
+				return s, at, h
+			}
+		}
+	}
+}
+
+// put fills the empty cell find reported, doubling the table at 1/2 load:
+// linear probing degrades sharply past that for absent keys (a probe for a
+// missing key runs to the next empty cell), and lookups of keys a
+// selective map does not hold are common.
+func (ix *index) put(at, h uint32, s int32) {
+	ix.cells[at] = cell(h, s)
+	ix.used++
+	if ix.used*2 <= len(ix.cells) {
+		return
+	}
+	old := ix.cells
+	ix.cells = make([]uint64, 2*len(old))
+	mask := uint32(len(ix.cells) - 1)
+	for _, c := range old {
+		if c != 0 {
+			i := uint32(c>>32) & mask
+			for ix.cells[i] != 0 {
+				i = (i + 1) & mask
+			}
+			ix.cells[i] = c
+		}
+	}
+}
+
+// del empties the cell at position at, shifting later cells of the same
+// probe run back so no tombstone is needed.
+func (ix *index) del(at uint32) {
+	mask := uint32(len(ix.cells) - 1)
+	i := at
+	for j := (i + 1) & mask; ix.cells[j] != 0; j = (j + 1) & mask {
+		// Cell j may fill the hole at i unless its home position lies
+		// cyclically inside (i, j].
+		if home := uint32(ix.cells[j] >> 32); (j-home)&mask >= (j-i)&mask {
+			ix.cells[i] = ix.cells[j]
+			i = j
+		}
+	}
+	ix.cells[i] = 0
+	ix.used--
+}
+
+// first returns the first slot matching k on the index's positions, or -1.
+func (ix *index) first(k *key) int32 {
+	s, _, _ := ix.find(k)
+	return s
+}
+
+// next returns the slot after s in its chain, or -1. Read it before
+// running code that may delete s.
+func (ix *index) next(s int32) int32 {
+	if ix.link == 0 {
+		return -1
+	}
+	return int32(uint32(ix.m.words[int(s)*ix.m.stride+ix.link])) - 1
+}
+
+// linkIn pushes slot s (whose key is k) onto the head of its chain.
+func (ix *index) linkIn(s int32, k *key) {
+	m := ix.m
+	head, at, h := ix.find(k)
+	if head < 0 {
+		m.words[int(s)*m.stride+ix.link] = 0
+		ix.put(at, h, s)
+		return
+	}
+	m.words[int(s)*m.stride+ix.link] = uint64(head + 1)      // next = head, no prev
+	m.words[int(head)*m.stride+ix.link] |= uint64(s+1) << 32 // head.prev = s
+	ix.cells[at] = cell(h, s)
+}
+
+// unlink removes slot s from its chain, repointing or dropping the head
+// cell when s led the chain.
+func (ix *index) unlink(s int32) {
+	m := ix.m
+	l := m.words[int(s)*m.stride+ix.link]
+	next, prev := l&0xFFFFFFFF, l>>32 // slot+1 each
+	if next != 0 {
+		w := &m.words[int(next-1)*m.stride+ix.link]
+		*w = *w&0xFFFFFFFF | prev<<32
+	}
+	if prev != 0 {
+		w := &m.words[int(prev-1)*m.stride+ix.link]
+		*w = *w&^0xFFFFFFFF | next
+		return
+	}
+	var k key
+	m.slotKey(s, &k)
+	_, at, h := ix.find(&k)
+	if next != 0 {
+		ix.cells[at] = uint64(h)<<32 | next
+	} else {
+		ix.del(at)
+	}
+}
+
+// get returns the value at the probe's key (0 when absent).
+func (m *Map) get(k *key) float64 {
+	s, _, _ := m.primary.find(k)
+	if s < 0 {
+		return 0
+	}
+	return math.Float64frombits(*m.value(s))
+}
+
+// add adds delta to the entry at the probe's key; exact-zero entries are
+// removed (0 and absent are semantically identical for ring aggregates,
+// and removal keeps loop enumerations tight under deletions). Allocation-
+// free except when the slot array or a table grows.
+func (m *Map) add(k *key, delta float64) {
 	if delta == 0 {
 		return
 	}
 	m.updates++
-	e, ok := m.entries[types.Key(k)]
-	if !ok {
-		e = &entry{key: types.Key(string(k)), tuple: key.Clone(), val: delta}
-		m.entries[e.key] = e
-		for _, s := range m.slices {
-			s.insert(e)
-		}
-		if m.sorted != nil {
-			m.sorted.Add(e.tuple, delta)
-		}
-		if len(m.entries) > m.peak {
-			m.peak = len(m.entries)
-		}
-		if m.gauges != nil {
-			m.gauges.Peak.MaxTo(m.gauges.Entries.Inc())
-		}
+	s, at, h := m.primary.find(k)
+	if s < 0 {
+		m.insert(k, h, at, delta)
 		return
 	}
-	e.val += delta
 	if m.sorted != nil {
-		m.sorted.Add(e.tuple, delta)
+		m.sorted.Add(k.vals, delta)
 	}
-	if e.val == 0 {
-		delete(m.entries, e.key)
-		for _, s := range m.slices {
-			s.remove(e)
-		}
-		if m.gauges != nil {
-			m.gauges.Entries.Dec()
-		}
+	w := m.value(s)
+	if v := math.Float64frombits(*w) + delta; v != 0 {
+		*w = math.Float64bits(v)
+		return
+	}
+	for _, ix := range m.indexes {
+		ix.unlink(s)
+	}
+	m.primary.del(at)
+	*w = 0
+	if m.kind == storeGeneric {
+		clear(m.vals[int(s)*m.arity:][:m.arity]) // release string payloads
+	}
+	m.free = append(m.free, s)
+	m.n--
+	if m.gauges != nil {
+		m.gauges.Entries.Dec()
 	}
 }
 
-// addI1 is the packed add for one-int-key maps.
-func (m *Map) addI1(k uint64, delta float64) {
-	if delta == 0 {
-		return
+// insert stores a new entry in a free slot and links it into every index.
+func (m *Map) insert(k *key, h, at uint32, v float64) {
+	var s int32
+	if n := len(m.free); n > 0 {
+		s, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		if len(m.words)/m.stride == math.MaxInt32 {
+			panic(fmt.Sprintf("runtime: map %s is full", m.Name()))
+		}
+		s = int32(len(m.words) / m.stride)
+		m.words = append(m.words, m.zero...)
+		if m.kind == storeGeneric {
+			m.vals = append(m.vals, k.vals...)
+		}
 	}
-	m.updates++
-	old, ok := m.i1[k]
-	v := old + delta
-	if v == 0 {
-		if ok {
-			delete(m.i1, k)
-			if m.gauges != nil {
-				m.gauges.Entries.Dec()
-			}
-		}
-		return
+	if m.kind != storeGeneric {
+		copy(m.words[int(s)*m.stride:], k.ints[:m.kind])
+	} else {
+		copy(m.vals[int(s)*m.arity:], k.vals)
 	}
-	m.i1[k] = v
-	if !ok {
-		if len(m.i1) > m.peak {
-			m.peak = len(m.i1)
-		}
-		if m.gauges != nil {
-			m.gauges.Peak.MaxTo(m.gauges.Entries.Inc())
-		}
+	*m.value(s) = math.Float64bits(v)
+	m.primary.put(at, h, s)
+	for _, ix := range m.indexes {
+		ix.linkIn(s, k)
+	}
+	if m.sorted != nil {
+		m.sorted.Add(k.vals, v)
+	}
+	m.n++
+	if m.n > m.peak {
+		m.peak = m.n
+	}
+	if m.gauges != nil {
+		m.gauges.Peak.MaxTo(m.gauges.Entries.Inc())
 	}
 }
 
-// addI2 is the packed add for two-int-key maps; slice buckets carry the
-// value alongside the primary map so loop iteration reads them directly.
-func (m *Map) addI2(k [2]uint64, delta float64) {
-	if delta == 0 {
-		return
-	}
-	m.updates++
-	old, ok := m.i2[k]
-	v := old + delta
-	if v == 0 {
-		if ok {
-			delete(m.i2, k)
-			for _, s := range m.i2slices {
-				s.remove(k)
-			}
-			if m.gauges != nil {
-				m.gauges.Entries.Dec()
-			}
-		}
-		return
-	}
-	m.i2[k] = v
-	for _, s := range m.i2slices {
-		s.set(k, v)
-	}
-	if !ok {
-		if len(m.i2) > m.peak {
-			m.peak = len(m.i2)
-		}
-		if m.gauges != nil {
-			m.gauges.Peak.MaxTo(m.gauges.Entries.Inc())
-		}
-	}
+// Get returns the value at key t (0 when absent). Allocation-free.
+func (m *Map) Get(t types.Tuple) float64 {
+	m.fill(&m.probe, m.primary.positions, t)
+	return m.get(&m.probe)
 }
 
-// addIN is the packed add for three- and four-int-key maps; like addI2,
-// slice buckets carry the value alongside the primary map.
-func (m *Map) addIN(k [4]uint64, delta float64) {
-	if delta == 0 {
-		return
-	}
-	m.updates++
-	old, ok := m.iN[k]
-	v := old + delta
-	if v == 0 {
-		if ok {
-			delete(m.iN, k)
-			for _, s := range m.iNslices {
-				s.remove(k)
-			}
-			if m.gauges != nil {
-				m.gauges.Entries.Dec()
-			}
-		}
-		return
-	}
-	m.iN[k] = v
-	for _, s := range m.iNslices {
-		s.set(k, v)
-	}
-	if !ok {
-		if len(m.iN) > m.peak {
-			m.peak = len(m.iN)
-		}
-		if m.gauges != nil {
-			m.gauges.Peak.MaxTo(m.gauges.Entries.Inc())
-		}
-	}
+// Add adds delta to the entry at key t, removing it at exact zero. The map
+// copies what it keeps, so the caller may reuse t.
+func (m *Map) Add(t types.Tuple, delta float64) {
+	m.fill(&m.probe, m.primary.positions, t)
+	m.add(&m.probe, delta)
 }
 
-// Scan visits every entry. For typed layouts the tuple passed to f is a
-// reused buffer valid only during the callback — Clone it to retain it
-// (generic layouts pass the stored tuple, but callers should not rely on
-// the stronger contract).
+// tuple returns slot s's key as a tuple valid only until the next map
+// operation: packed layouts unpack into scanBuf, the generic form aliases
+// its stored values.
+func (m *Map) tuple(s int32) types.Tuple {
+	if m.kind == storeGeneric {
+		return m.vals[int(s)*m.arity:][:m.arity:m.arity]
+	}
+	for i, w := range m.words[int(s)*m.stride:][:m.kind] {
+		m.scanBuf[i] = types.NewInt(int64(w))
+	}
+	return m.scanBuf
+}
+
+// Scan visits every entry in slot order — insertion order, with vacated
+// slots reused — so two maps fed the same operations scan identically.
+// The tuple passed to f is valid only during the callback; Clone it to
+// retain it.
 func (m *Map) Scan(f func(types.Tuple, float64)) {
-	switch m.kind {
-	case storeI1:
-		t := m.ensureScanBuf(1)
-		for k, v := range m.i1 {
-			t[0] = types.NewInt(int64(k))
-			f(t, v)
-		}
-	case storeI2:
-		t := m.ensureScanBuf(2)
-		for k, v := range m.i2 {
-			t[0] = types.NewInt(int64(k[0]))
-			t[1] = types.NewInt(int64(k[1]))
-			f(t, v)
-		}
-	case storeI3, storeI4:
-		n := m.kind.pkArity()
-		t := m.ensureScanBuf(n)
-		for k, v := range m.iN {
-			for i := 0; i < n; i++ {
-				t[i] = types.NewInt(int64(k[i]))
-			}
-			f(t, v)
-		}
-	default:
-		for _, e := range m.entries {
-			f(e.tuple, e.val)
+	for s := int32(0); int(s)*m.stride < len(m.words); s++ {
+		if v := *m.value(s); v != 0 {
+			f(m.tuple(s), math.Float64frombits(v))
 		}
 	}
-}
-
-func (m *Map) ensureScanBuf(n int) types.Tuple {
-	if cap(m.scanBuf) < n {
-		m.scanBuf = make(types.Tuple, n)
-	}
-	return m.scanBuf[:n]
 }
 
 // ScanSorted visits entries in ascending key order. Maps with a sorted
@@ -528,189 +573,59 @@ func (m *Map) ScanSorted(f func(types.Tuple, float64)) {
 // Tree exposes the sorted mirror (nil when the map is not sorted).
 func (m *Map) Tree() *treap.Tree { return m.sorted }
 
-// EnsureSlice registers a secondary index over the given bound positions,
-// returning its handle. Must be called before any entries exist (the
-// engine does this at construction from the program's loops). On typed
-// two-int-key maps the handle fronts a specialized packed index.
-func (m *Map) EnsureSlice(positions []int) *sliceIndex {
-	for _, s := range m.slices {
-		if equalInts(s.positions, positions) {
-			return s
+// EnsureSlice returns the access path over the given bound positions
+// (ascending), registering a slice index if none exists; binding every
+// position is the primary index. Indexes are normally registered at engine
+// construction before data arrives, but an engine adopting a populated
+// shared map (or taking over a caught-up one) may need an index the
+// previous owner never used: existing entries are then re-laid with room
+// for the new link word and threaded onto the new chains.
+func (m *Map) EnsureSlice(positions []int) *index {
+	if len(positions) == m.arity {
+		return &m.primary
+	}
+	for _, ix := range m.indexes {
+		if slices.Equal(ix.positions, positions) {
+			return ix
 		}
 	}
-	s := &sliceIndex{positions: append([]int{}, positions...)}
-	switch m.kind {
-	case storeI3, storeI4:
-		if len(positions) == 0 || len(positions) >= m.kind.pkArity() {
-			panic(fmt.Sprintf("runtime: slice over %d positions of %d-key map %s", len(positions), m.kind.pkArity(), m.Name()))
-		}
-		ts := &iNSlice{positions: append([]int{}, positions...), buckets: make(map[[4]uint64]map[[4]uint64]float64)}
-		m.iNslices = append(m.iNslices, ts)
-		s.typedN = ts
-		s.owner = m
-	case storeI2:
-		// A proper slice over a 2-key map binds exactly one position.
-		if len(positions) != 1 {
-			panic(fmt.Sprintf("runtime: slice over %d positions of two-key map %s", len(positions), m.Name()))
-		}
-		ts := &i2Slice{pos: positions[0], buckets: make(map[uint64]map[[2]uint64]float64)}
-		m.i2slices = append(m.i2slices, ts)
-		s.typed = ts
-		s.owner = m
-	case storeI1:
-		// Binding the only position of a one-key map degenerates to a
-		// point probe; no index structure needed.
-		if len(positions) != 1 || positions[0] != 0 {
-			panic(fmt.Sprintf("runtime: invalid slice positions %v for one-key map %s", positions, m.Name()))
-		}
-		s.owner = m
-	default:
-		s.buckets = make(map[types.Key]map[types.Key]*entry)
-	}
-	// Backfill from existing entries: indexes are normally registered at
-	// engine construction before data arrives, but an engine adopting a
-	// populated shared map (or taking over a caught-up one) may need an
-	// index the previous owner never used.
-	if m.Len() > 0 {
-		switch {
-		case s.typedN != nil:
-			for k, v := range m.iN {
-				s.typedN.set(k, v)
-			}
-		case s.typed != nil:
-			for k, v := range m.i2 {
-				s.typed.set(k, v)
-			}
-		case s.buckets != nil:
-			for _, e := range m.entries {
-				s.insert(e)
-			}
+	for i, p := range positions {
+		if p < 0 || p >= m.arity || (i > 0 && p <= positions[i-1]) {
+			panic(fmt.Sprintf("runtime: invalid slice positions %v for %d-key map %s", positions, m.arity, m.Name()))
 		}
 	}
-	m.slices = append(m.slices, s)
-	return s
+	ix := m.newIndex(slices.Clone(positions), m.stride)
+	old, oldStride := m.words, m.stride
+	m.setStride(oldStride + 1)
+	m.words = make([]uint64, len(old)/oldStride*m.stride)
+	for from, to := 0, 0; from < len(old); from, to = from+oldStride, to+m.stride {
+		copy(m.words[to:], old[from:from+oldStride])
+	}
+	m.indexes = append(m.indexes, ix)
+	if m.gauges != nil {
+		m.gauges.EntryBytes.Set(int64(m.entryBytes()))
+	}
+	var k key
+	for s := int32(0); int(s)*m.stride < len(m.words); s++ {
+		if *m.value(s) != 0 {
+			m.slotKey(s, &k)
+			ix.linkIn(s, &k)
+		}
+	}
+	return ix
 }
 
-// ensureI2Slice returns the packed index for one bound position of a
-// two-int-key map (registering it if needed); compiled typed loops
-// iterate it directly.
-func (m *Map) ensureI2Slice(pos int) *i2Slice {
-	return m.EnsureSlice([]int{pos}).typed
-}
-
-// ensureINSlice is ensureI2Slice for three- and four-int-key maps.
-func (m *Map) ensureINSlice(positions []int) *iNSlice {
-	return m.EnsureSlice(positions).typedN
-}
-
-func (s *i2Slice) set(k [2]uint64, v float64) {
-	b, ok := s.buckets[k[s.pos]]
-	if !ok {
-		b = make(map[[2]uint64]float64)
-		s.buckets[k[s.pos]] = b
+// Iterate visits entries whose bound positions equal boundVals (one value
+// per index position, in order). Like Scan, the tuple is valid only during
+// the callback.
+func (ix *index) Iterate(boundVals types.Tuple, f func(types.Tuple, float64)) {
+	m := ix.m
+	m.fill(&ix.probe, ix.positions, boundVals)
+	for s := ix.first(&ix.probe); s >= 0; {
+		next := ix.next(s)
+		f(m.tuple(s), math.Float64frombits(*m.value(s)))
+		s = next
 	}
-	b[k] = v
-}
-
-func (s *i2Slice) remove(k [2]uint64) {
-	if b, ok := s.buckets[k[s.pos]]; ok {
-		delete(b, k)
-		if len(b) == 0 {
-			delete(s.buckets, k[s.pos])
-		}
-	}
-}
-
-// appendBoundKey encodes the bound-position sub-tuple of t into the
-// index's scratch buffer, avoiding the sub-tuple allocation entirely.
-func (s *sliceIndex) appendBoundKey(t types.Tuple) {
-	s.scratch = s.scratch[:0]
-	for _, p := range s.positions {
-		s.scratch = types.AppendValue(s.scratch, t[p])
-	}
-}
-
-func (s *sliceIndex) insert(e *entry) {
-	s.appendBoundKey(e.tuple)
-	b, ok := s.buckets[types.Key(s.scratch)]
-	if !ok {
-		b = make(map[types.Key]*entry)
-		s.buckets[types.Key(string(s.scratch))] = b
-	}
-	b[e.key] = e
-}
-
-func (s *sliceIndex) remove(e *entry) {
-	s.appendBoundKey(e.tuple)
-	if b, ok := s.buckets[types.Key(s.scratch)]; ok {
-		delete(b, e.key)
-		if len(b) == 0 {
-			delete(s.buckets, types.Key(s.scratch))
-		}
-	}
-}
-
-// Iterate visits entries whose bound positions equal boundVals. Like
-// Scan, typed layouts pass a reused tuple valid only during the callback.
-func (s *sliceIndex) Iterate(boundVals types.Tuple, f func(types.Tuple, float64)) {
-	if s.typedN != nil {
-		m := s.owner
-		n := m.kind.pkArity()
-		t := m.ensureScanBuf(n)
-		var bk [4]uint64
-		for i, p := range s.typedN.positions {
-			bk[p] = m.packInt(boundVals[i])
-		}
-		if b, ok := s.typedN.buckets[bk]; ok {
-			for k, v := range b {
-				for i := 0; i < n; i++ {
-					t[i] = types.NewInt(int64(k[i]))
-				}
-				f(t, v)
-			}
-		}
-		return
-	}
-	if s.typed != nil {
-		m := s.owner
-		t := m.ensureScanBuf(2)
-		if b, ok := s.typed.buckets[m.packInt(boundVals[0])]; ok {
-			for k, v := range b {
-				t[0] = types.NewInt(int64(k[0]))
-				t[1] = types.NewInt(int64(k[1]))
-				f(t, v)
-			}
-		}
-		return
-	}
-	if s.owner != nil && s.owner.kind == storeI1 {
-		m := s.owner
-		k := m.packInt(boundVals[0])
-		if v, ok := m.i1[k]; ok {
-			t := m.ensureScanBuf(1)
-			t[0] = types.NewInt(int64(k))
-			f(t, v)
-		}
-		return
-	}
-	s.scratch = types.AppendKey(s.scratch[:0], boundVals)
-	if b, ok := s.buckets[types.Key(s.scratch)]; ok {
-		for _, e := range b {
-			f(e.tuple, e.val)
-		}
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MemStats summarizes a map's footprint and activity for the profiler:
@@ -736,7 +651,7 @@ func (m *Map) Stats() MemStats {
 		Entries: m.Len(),
 		Peak:    m.peak,
 		Updates: m.updates,
-		Slices:  len(m.slices),
+		Slices:  len(m.indexes),
 		Sorted:  m.sorted != nil,
 		Layout:  m.kind.String(),
 	}

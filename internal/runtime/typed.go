@@ -435,10 +435,7 @@ func (tc *tcompiler) compileStmt(s *ir.Stmt) (stmtFn, error) {
 		}
 		keys[i] = kx
 	}
-	update, err := tc.compileUpdate(target, keys)
-	if err != nil {
-		return nil, err
-	}
+	update := tc.compileUpdate(target, keys)
 	body := func(env *cenv) {
 		for _, lt := range lets {
 			switch lt.cls {
@@ -473,307 +470,80 @@ func (tc *tcompiler) compileStmt(s *ir.Stmt) (stmtFn, error) {
 	return body, nil
 }
 
-// intKeys extracts the int kernels of a packed map's key expressions,
-// demoting the map when any key cannot be proven int. Returns nil after
-// demotion.
-func (tc *tcompiler) intKeys(name string, keys []texpr) []intFn {
-	fns := make([]intFn, len(keys))
-	for i, k := range keys {
-		if k.cls != clsInt {
-			tc.demoted(name)
-			return nil
-		}
-		fns[i] = k.ifn
-	}
-	return fns
+// keyFill writes the compiled key expressions of one map access into a
+// probe: int kernels for a packed map, boxed values for the generic form.
+type keyFill struct {
+	pos  []int // probe position of each expression
+	ints []intFn
+	vals []valFn
 }
 
-// compileUpdate builds the target-side kernel: packed adds for typed maps,
-// the encode-once AddKey path for generic ones.
-func (tc *tcompiler) compileUpdate(target *Map, keys []texpr) (func(*cenv, float64), error) {
-	switch target.kind {
-	case storeI1:
-		ks := tc.intKeys(target.Name(), keys)
-		if ks == nil {
-			return func(*cenv, float64) {}, nil // discarded; engine rebuilds
-		}
-		k0 := ks[0]
-		return func(env *cenv, d float64) {
-			target.addI1(uint64(k0(env)), d)
-		}, nil
-	case storeI2:
-		ks := tc.intKeys(target.Name(), keys)
-		if ks == nil {
-			return func(*cenv, float64) {}, nil
-		}
-		k0, k1 := ks[0], ks[1]
-		return func(env *cenv, d float64) {
-			target.addI2([2]uint64{uint64(k0(env)), uint64(k1(env))}, d)
-		}, nil
-	case storeI3, storeI4:
-		ks := tc.intKeys(target.Name(), keys)
-		if ks == nil {
-			return func(*cenv, float64) {}, nil
-		}
-		return func(env *cenv, d float64) {
-			var k [4]uint64
-			for i, fn := range ks {
-				k[i] = uint64(fn(env))
-			}
-			target.addIN(k, d)
-		}, nil
+func (f *keyFill) fill(env *cenv, k *key) {
+	for i, fn := range f.ints {
+		k.ints[f.pos[i]] = uint64(fn(env))
 	}
-	fillers := make([]valFn, len(keys))
-	for i, k := range keys {
-		fillers[i] = k.box()
+	for i, fn := range f.vals {
+		k.vals[f.pos[i]] = fn(env)
 	}
-	key := make(types.Tuple, len(keys))
-	var kbuf []byte
+}
+
+// access compiles the key expressions bound at positions pos of an access
+// to m, returning the filler and the probe it fills. A packed map with a
+// key expression that cannot be proven int is demoted and ok is false: the
+// caller emits a no-op, since the engine rebuilds with the map generic.
+func (tc *tcompiler) access(m *Map, pos []int, exprs []texpr) (f *keyFill, k *key, ok bool) {
+	f = &keyFill{pos: pos}
+	for _, x := range exprs {
+		if m.kind == storeGeneric {
+			f.vals = append(f.vals, x.box())
+		} else if x.cls == clsInt {
+			f.ints = append(f.ints, x.ifn)
+		} else {
+			tc.demoted(m.Name())
+			return nil, nil, false
+		}
+	}
+	return f, &key{vals: make(types.Tuple, m.arity)}, true
+}
+
+// compileUpdate builds the target-side kernel.
+func (tc *tcompiler) compileUpdate(target *Map, keys []texpr) func(*cenv, float64) {
+	f, k, ok := tc.access(target, target.primary.positions, keys)
+	if !ok {
+		return func(*cenv, float64) {}
+	}
 	return func(env *cenv, d float64) {
-		for i, f := range fillers {
-			key[i] = f(env)
-		}
-		kbuf = types.AppendKey(kbuf[:0], key)
-		target.AddKey(kbuf, key, d)
-	}, nil
+		f.fill(env, k)
+		target.add(k, d)
+	}
 }
 
-// compileLoop wraps body in the iteration kernel for one loop level.
+// compileLoop wraps body in the iteration kernel for one loop level: a
+// chain walk through the access path over the bound positions (the primary
+// index when every position is bound), or a filtered scan of the slot
+// array when nothing is bound or slice indexes are disabled.
+//
+// Packed-map tuples are ints by construction, so their loop variables all
+// hold int slots. Over a generic map, variables at statically
+// int-guaranteed positions unbox into int slots and the rest land in their
+// pre-allocated boxed slots. The loop value takes its float slot.
 func (tc *tcompiler) compileLoop(lp ir.Loop, pos []int, bounds []texpr, body stmtFn) (stmtFn, error) {
 	m := tc.e.maps[lp.Map]
-	switch m.kind {
-	case storeI1:
-		return tc.compileLoopI1(m, lp, pos, bounds, body)
-	case storeI2:
-		return tc.compileLoopI2(m, lp, pos, bounds, body)
-	case storeI3, storeI4:
-		return tc.compileLoopIN(m, lp, pos, bounds, body)
-	}
-	return tc.compileLoopGeneric(m, lp, pos, bounds, body)
-}
-
-// loopSlots resolves the typed slots the loop variables were bound to.
-func (tc *tcompiler) loopSlots(lp ir.Loop) (frees []int, valSlot int, err error) {
-	frees = make([]int, len(lp.FreeVars))
-	for i, v := range lp.FreeVars {
-		frees[i] = -1
-		if v == "" {
-			continue
-		}
-		s, ok := tc.tslots[v]
-		if !ok || s.cls != clsInt {
-			return nil, 0, fmt.Errorf("runtime: loop variable %s has no int slot", v)
-		}
-		frees[i] = s.idx
-	}
-	valSlot = -1
-	if lp.ValueVar != "" {
-		s, ok := tc.tslots[lp.ValueVar]
-		if !ok || s.cls != clsFloat {
-			return nil, 0, fmt.Errorf("runtime: loop value %s has no float slot", lp.ValueVar)
-		}
-		valSlot = s.idx
-	}
-	return frees, valSlot, nil
-}
-
-func (tc *tcompiler) compileLoopI1(m *Map, lp ir.Loop, pos []int, bounds []texpr, body stmtFn) (stmtFn, error) {
-	frees, valSlot, err := tc.loopSlots(lp)
-	if err != nil {
-		return nil, err
-	}
-	f0 := -1
-	if len(frees) > 0 {
-		f0 = frees[0]
-	}
-	if len(pos) == 1 {
-		// The single key is bound: a point probe.
-		bs := tc.intKeys(m.Name(), bounds)
-		if bs == nil {
-			return func(*cenv) {}, nil
-		}
-		b0 := bs[0]
-		return func(env *cenv) {
-			k := uint64(b0(env))
-			if v, ok := m.i1[k]; ok {
-				if f0 >= 0 {
-					env.ints[f0] = int64(k)
-				}
-				if valSlot >= 0 {
-					env.floats[valSlot] = v
-				}
-				body(env)
-			}
-		}, nil
-	}
-	return func(env *cenv) {
-		for k, v := range m.i1 {
-			if f0 >= 0 {
-				env.ints[f0] = int64(k)
-			}
-			if valSlot >= 0 {
-				env.floats[valSlot] = v
-			}
-			body(env)
-		}
-	}, nil
-}
-
-func (tc *tcompiler) compileLoopI2(m *Map, lp ir.Loop, pos []int, bounds []texpr, body stmtFn) (stmtFn, error) {
-	frees, valSlot, err := tc.loopSlots(lp)
-	if err != nil {
-		return nil, err
-	}
-	f0, f1 := frees[0], frees[1]
-	emit := func(env *cenv, k [2]uint64, v float64) {
-		if f0 >= 0 {
-			env.ints[f0] = int64(k[0])
-		}
-		if f1 >= 0 {
-			env.ints[f1] = int64(k[1])
-		}
-		if valSlot >= 0 {
-			env.floats[valSlot] = v
-		}
-		body(env)
-	}
-	bs := tc.intKeys(m.Name(), bounds)
-	if len(bounds) > 0 && bs == nil {
-		return func(*cenv) {}, nil
-	}
-	switch len(pos) {
-	case 2:
-		b0, b1 := bs[0], bs[1]
-		return func(env *cenv) {
-			k := [2]uint64{uint64(b0(env)), uint64(b1(env))}
-			if v, ok := m.i2[k]; ok {
-				emit(env, k, v)
-			}
-		}, nil
-	case 1:
-		b0 := bs[0]
-		if !tc.e.opts.NoSliceIndex {
-			slice := m.ensureI2Slice(pos[0])
-			return func(env *cenv) {
-				if b, ok := slice.buckets[uint64(b0(env))]; ok {
-					for k, v := range b {
-						emit(env, k, v)
-					}
-				}
-			}, nil
-		}
-		p := pos[0]
-		return func(env *cenv) {
-			want := uint64(b0(env))
-			for k, v := range m.i2 {
-				if k[p] == want {
-					emit(env, k, v)
-				}
-			}
-		}, nil
-	}
-	return func(env *cenv) {
-		for k, v := range m.i2 {
-			emit(env, k, v)
-		}
-	}, nil
-}
-
-// compileLoopIN iterates a three- or four-int-key packed map: a point
-// probe when every position is bound, a packed slice bucket (or filtered
-// scan under NoSliceIndex) for a partial binding, and a full scan
-// otherwise. Bound keys are zero-padded full-width arrays, matching the
-// iNSlice bucket keying.
-func (tc *tcompiler) compileLoopIN(m *Map, lp ir.Loop, pos []int, bounds []texpr, body stmtFn) (stmtFn, error) {
-	frees, valSlot, err := tc.loopSlots(lp)
-	if err != nil {
-		return nil, err
-	}
-	arity := m.kind.pkArity()
-	emit := func(env *cenv, k [4]uint64, v float64) {
-		for i := 0; i < arity; i++ {
-			if frees[i] >= 0 {
-				env.ints[frees[i]] = int64(k[i])
-			}
-		}
-		if valSlot >= 0 {
-			env.floats[valSlot] = v
-		}
-		body(env)
-	}
-	bs := tc.intKeys(m.Name(), bounds)
-	if len(bounds) > 0 && bs == nil {
-		return func(*cenv) {}, nil
-	}
-	fillBound := func(env *cenv) [4]uint64 {
-		var bk [4]uint64
-		for i, fn := range bs {
-			bk[pos[i]] = uint64(fn(env))
-		}
-		return bk
-	}
-	switch {
-	case len(pos) == arity:
-		return func(env *cenv) {
-			k := fillBound(env)
-			if v, ok := m.iN[k]; ok {
-				emit(env, k, v)
-			}
-		}, nil
-	case len(pos) > 0:
-		if !tc.e.opts.NoSliceIndex {
-			slice := m.ensureINSlice(pos)
-			return func(env *cenv) {
-				if b, ok := slice.buckets[fillBound(env)]; ok {
-					for k, v := range b {
-						emit(env, k, v)
-					}
-				}
-			}, nil
-		}
-		return func(env *cenv) {
-			want := fillBound(env)
-			for k, v := range m.iN {
-				match := true
-				for _, p := range pos {
-					if k[p] != want[p] {
-						match = false
-						break
-					}
-				}
-				if match {
-					emit(env, k, v)
-				}
-			}
-		}, nil
-	}
-	return func(env *cenv) {
-		for k, v := range m.iN {
-			emit(env, k, v)
-		}
-	}, nil
-}
-
-// compileLoopGeneric iterates a generic-layout map from a typed statement.
-// Loop variables over statically int-guaranteed positions unbox into int
-// slots; the rest land in their pre-allocated boxed slots. The loop value
-// takes its float slot.
-func (tc *tcompiler) compileLoopGeneric(m *Map, lp ir.Loop, pos []int, bounds []texpr, body stmtFn) (stmtFn, error) {
 	type freeSlot struct{ pos, slot int }
-	var frees, intFrees []freeSlot
+	var boxed, ints []freeSlot
 	for p, v := range lp.FreeVars {
 		if v == "" {
 			continue
 		}
 		if s, ok := tc.tslots[v]; ok && s.cls == clsInt {
-			intFrees = append(intFrees, freeSlot{pos: p, slot: s.idx})
+			ints = append(ints, freeSlot{pos: p, slot: s.idx})
 			continue
 		}
 		idx, ok := tc.slots[v]
-		if !ok {
+		if !ok || m.kind != storeGeneric {
 			return nil, fmt.Errorf("runtime: loop variable %s has no slot", v)
 		}
-		frees = append(frees, freeSlot{pos: p, slot: idx})
+		boxed = append(boxed, freeSlot{pos: p, slot: idx})
 	}
 	valSlot := -1
 	if lp.ValueVar != "" {
@@ -783,51 +553,50 @@ func (tc *tcompiler) compileLoopGeneric(m *Map, lp ir.Loop, pos []int, bounds []
 		}
 		valSlot = s.idx
 	}
-	boundFns := make([]valFn, len(bounds))
-	for i, b := range bounds {
-		boundFns[i] = b.box()
-	}
-	bound := make(types.Tuple, len(boundFns))
-	var curEnv *cenv
-	visit := func(t types.Tuple, v float64) {
-		for _, fs := range frees {
-			curEnv.slots[fs.slot] = t[fs.pos]
-		}
-		// Positions in intFrees are guaranteed KindInt by the static
-		// analysis, so the raw payload read is sound.
-		for _, fs := range intFrees {
-			curEnv.ints[fs.slot] = t[fs.pos].Int()
+	emit := func(env *cenv, s int32) {
+		if m.kind != storeGeneric {
+			e := m.words[int(s)*m.stride:]
+			for _, fs := range ints {
+				env.ints[fs.slot] = int64(e[fs.pos])
+			}
+		} else {
+			t := m.vals[int(s)*m.arity:]
+			for _, fs := range boxed {
+				env.slots[fs.slot] = t[fs.pos]
+			}
+			// Positions in ints are guaranteed KindInt by the static
+			// analysis, so the raw payload read is sound.
+			for _, fs := range ints {
+				env.ints[fs.slot] = t[fs.pos].Int()
+			}
 		}
 		if valSlot >= 0 {
-			curEnv.floats[valSlot] = v
+			env.floats[valSlot] = math.Float64frombits(*m.value(s))
 		}
-		body(curEnv)
+		body(env)
 	}
-	useSlice := !tc.e.opts.NoSliceIndex && len(pos) > 0 && len(pos) < len(lp.Bound)
-	if useSlice {
-		slice := m.EnsureSlice(pos)
+	f, k, ok := tc.access(m, pos, bounds)
+	if !ok {
+		return func(*cenv) {}, nil
+	}
+	if len(pos) == m.arity || (len(pos) > 0 && !tc.e.opts.NoSliceIndex) {
+		ix := m.EnsureSlice(pos)
 		return func(env *cenv) {
-			curEnv = env
-			for i, fn := range boundFns {
-				bound[i] = fn(env)
+			f.fill(env, k)
+			for s := ix.first(k); s >= 0; {
+				next := ix.next(s)
+				emit(env, s)
+				s = next
 			}
-			slice.Iterate(bound, visit)
 		}, nil
 	}
-	scanVisit := func(t types.Tuple, val float64) {
-		for i, p := range pos {
-			if !t[p].Equal(bound[i]) {
-				return
+	return func(env *cenv) {
+		f.fill(env, k)
+		for s := int32(0); int(s)*m.stride < len(m.words); s++ {
+			if *m.value(s) != 0 && m.matches(s, pos, k) {
+				emit(env, s)
 			}
 		}
-		visit(t, val)
-	}
-	return func(env *cenv) {
-		curEnv = env
-		for i, fn := range boundFns {
-			bound[i] = fn(env)
-		}
-		m.Scan(scanVisit)
 	}, nil
 }
 
@@ -886,50 +655,13 @@ func (tc *tcompiler) compileLookup(x *ir.Lookup) (texpr, error) {
 		}
 		keys[i] = kx
 	}
-	switch m.kind {
-	case storeI1:
-		ks := tc.intKeys(m.Name(), keys)
-		if ks == nil {
-			return texpr{cls: clsFloat, ffn: func(*cenv) float64 { return 0 }}, nil
-		}
-		k0 := ks[0]
-		return texpr{cls: clsFloat, ffn: func(env *cenv) float64 {
-			return m.i1[uint64(k0(env))]
-		}}, nil
-	case storeI2:
-		ks := tc.intKeys(m.Name(), keys)
-		if ks == nil {
-			return texpr{cls: clsFloat, ffn: func(*cenv) float64 { return 0 }}, nil
-		}
-		k0, k1 := ks[0], ks[1]
-		return texpr{cls: clsFloat, ffn: func(env *cenv) float64 {
-			return m.i2[[2]uint64{uint64(k0(env)), uint64(k1(env))}]
-		}}, nil
-	case storeI3, storeI4:
-		ks := tc.intKeys(m.Name(), keys)
-		if ks == nil {
-			return texpr{cls: clsFloat, ffn: func(*cenv) float64 { return 0 }}, nil
-		}
-		return texpr{cls: clsFloat, ffn: func(env *cenv) float64 {
-			var k [4]uint64
-			for i, fn := range ks {
-				k[i] = uint64(fn(env))
-			}
-			return m.iN[k]
-		}}, nil
+	f, k, ok := tc.access(m, m.primary.positions, keys)
+	if !ok {
+		return texpr{cls: clsFloat, ffn: func(*cenv) float64 { return 0 }}, nil
 	}
-	fillers := make([]valFn, len(keys))
-	for i, k := range keys {
-		fillers[i] = k.box()
-	}
-	key := make(types.Tuple, len(keys))
-	var kbuf []byte
 	return texpr{cls: clsFloat, ffn: func(env *cenv) float64 {
-		for i, f := range fillers {
-			key[i] = f(env)
-		}
-		kbuf = types.AppendKey(kbuf[:0], key)
-		return m.GetKey(kbuf)
+		f.fill(env, k)
+		return m.get(k)
 	}}, nil
 }
 

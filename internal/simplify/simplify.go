@@ -4,6 +4,7 @@
 //
 //   - constant folding of scalar arithmetic and constant comparisons
 //   - unit elimination (×1 dropped, ×0 annihilates the monomial)
+//   - contradiction: [x = c1] * [x = c2] with distinct constants is 0
 //   - equality propagation: an equality [x = y] binding an eliminable
 //     variable is removed by renaming, which is what elides scans when a
 //     delta replaces a relation atom with event parameters
@@ -103,6 +104,7 @@ func SimplifyMonomial(m Monomial, bound func(algebra.Var) bool) (Monomial, bool)
 		coef := 1.0
 		coefInt := true
 		nConsts := 0
+		pinned := map[algebra.Var]types.Value{} // x → c for every [x = c] seen
 		for _, f := range factors {
 			f = foldFactor(f)
 			switch f := f.(type) {
@@ -141,6 +143,14 @@ func SimplifyMonomial(m Monomial, bound func(algebra.Var) bool) (Monomial, bool)
 				}
 				if f.Op == algebra.CmpNeq && sameVar(f.L, f.R) {
 					return Monomial{}, true
+				}
+				// [x = c1] * [x = c2] with distinct constants is 0: no
+				// binding of x satisfies both.
+				if x, c, ok := varEqConst(f); ok {
+					if prev, seen := pinned[x]; seen && !prev.Equal(c) {
+						return Monomial{}, true
+					}
+					pinned[x] = c
 				}
 				next = append(next, f)
 			default:
@@ -333,6 +343,24 @@ func constOfVal(e algebra.ValExpr) (types.Value, bool) {
 		return types.Null, false
 	}
 	return c.Value, true
+}
+
+// varEqConst matches [x = c] or [c = x] with a non-NULL constant (a NULL
+// side makes the comparison false on its own; folding leaves it be).
+func varEqConst(f *algebra.Cmp) (algebra.Var, types.Value, bool) {
+	if f.Op != algebra.CmpEq {
+		return "", types.Null, false
+	}
+	l, r := f.L, f.R
+	if _, ok := l.(*algebra.VVar); !ok {
+		l, r = r, l
+	}
+	x, xok := l.(*algebra.VVar)
+	c, cok := constOfVal(r)
+	if !xok || !cok || c.IsNull() {
+		return "", types.Null, false
+	}
+	return x.Name, c, true
 }
 
 func sameVar(l, r algebra.ValExpr) bool {

@@ -257,13 +257,46 @@ func TestSimplifyEmptyMonomialIsOne(t *testing.T) {
 }
 
 func TestSimplifyInclusionExclusion(t *testing.T) {
-	// OR lowering: a + b - a*b with a=[p=1], b=[p=2]; p bound.
+	// OR lowering: a + b - a*b. With a=[p=1], b=[q=2] all three terms
+	// survive; with b=[p=2] the product pins p to two distinct constants
+	// and is annihilated.
 	a := algebra.EqVarConst("p", types.NewInt(1))
-	b := algebra.EqVarConst("p", types.NewInt(2))
-	term := algebra.NewSum(a, b,
-		algebra.NewProd(algebra.ConstVal(types.NewInt(-1)), a, b))
-	ms := Simplify(term, boundSet("p"))
-	if len(ms) != 3 {
-		t.Fatalf("ms = %v", ms)
+	for _, tc := range []struct {
+		b    algebra.Term
+		want int
+	}{
+		{algebra.EqVarConst("q", types.NewInt(2)), 3},
+		{algebra.EqVarConst("p", types.NewInt(2)), 2},
+	} {
+		term := algebra.NewSum(a, tc.b,
+			algebra.NewProd(algebra.ConstVal(types.NewInt(-1)), a, tc.b))
+		if ms := Simplify(term, boundSet("p", "q")); len(ms) != tc.want {
+			t.Errorf("b = %v: %d monomials, want %d: %v", tc.b, len(ms), tc.want, ms)
+		}
+	}
+}
+
+func TestSimplifyContradictoryEqualities(t *testing.T) {
+	eq := func(l, r algebra.ValExpr) algebra.Term { return &algebra.Cmp{Op: algebra.CmpEq, L: l, R: r} }
+	x := &algebra.VVar{Name: "x"}
+	str := func(s string) algebra.ValExpr { return &algebra.VConst{Value: types.NewString(s)} }
+	num := func(v types.Value) algebra.ValExpr { return &algebra.VConst{Value: v} }
+	rel := algebra.NewRel("R", "x") // x is positional: propagation cannot remove the equalities
+	for _, tc := range []struct {
+		name string
+		a, b algebra.Term
+		zero bool
+	}{
+		{"distinct strings", eq(x, str("MFGR#1")), eq(x, str("MFGR#2")), true},
+		{"constant on the left", eq(str("MFGR#1"), x), eq(x, str("MFGR#2")), true},
+		{"same constant", eq(x, str("MFGR#1")), eq(x, str("MFGR#1")), false},
+		{"int and equal float", eq(x, num(types.NewInt(1))), eq(x, num(types.NewFloat(1))), false},
+		{"different variables", eq(x, str("a")), eq(&algebra.VVar{Name: "y"}, str("b")), false},
+		{"inequality", eq(x, str("a")), &algebra.Cmp{Op: algebra.CmpNeq, L: x, R: str("b")}, false},
+	} {
+		_, zero := SimplifyMonomial(Monomial{Factors: []algebra.Term{tc.a, tc.b, rel}}, boundSet("x", "y"))
+		if zero != tc.zero {
+			t.Errorf("%s: annihilated = %v, want %v", tc.name, zero, tc.zero)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Hot-path benchmark harness: runs the financial and warehouse benchmark
-# suites (compiled engine) with allocation reporting and persists the
-# numbers to BENCH_hotpath.json — the input for EXPERIMENTS.md's
-# before/after allocation table.
+# suites (compiled engine) and the map-store micro-benchmark with
+# allocation reporting and persists the numbers to BENCH_hotpath.json —
+# the input for EXPERIMENTS.md's before/after allocation table.
 #
 #   scripts/bench.sh                     # default 20000x iterations
 #   BENCHTIME=100x scripts/bench.sh      # quick smoke (used by check)
@@ -53,8 +53,12 @@ CPUFLAGS=""
 PKG="."
 case "$SUITE" in
 hotpath)
-    PATTERN="^(BenchmarkFinancial|BenchmarkWarehouse|BenchmarkPaperQueryRST)/$ENGINE"
+    # Engine benchmarks select the compiled engine at the second level;
+    # BenchmarkMapAdd (the map store alone: arity x slice indexes x
+    # update/insert/churn, in internal/runtime) has layouts there.
+    PATTERN="^(BenchmarkFinancial|BenchmarkWarehouse|BenchmarkPaperQueryRST|BenchmarkMapAdd)/($ENGINE|^int[1-4]\$)"
     OUT="${OUT:-BENCH_hotpath.json}"
+    PKG=". ./internal/runtime"
     ;;
 typed)
     PATTERN='^BenchmarkAblationTypedStorage/'
@@ -97,8 +101,8 @@ overload)
     ;;
 esac
 
-# shellcheck disable=SC2086 # CPUFLAGS is intentionally word-split
-raw=$(go test -run xxx -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem $CPUFLAGS "$PKG")
+# shellcheck disable=SC2086 # CPUFLAGS and PKG are intentionally word-split
+raw=$(go test -run xxx -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem $CPUFLAGS $PKG)
 printf '%s\n' "$raw"
 
 if [ "$SUITE" = registry ]; then

@@ -60,6 +60,10 @@ BENCHTIME=100x SUITE=native OUT="${TMPDIR:-/tmp}/BENCH_native_smoke.json" sh scr
 # then a short coverage-guided pass over the seed space.
 echo "== qgen differential smoke ==" && go test ./internal/qgen/ -run 'TestQgenDifferential|TestQgenAlwaysCompiles' -short -count=1
 echo "== qgen fuzz smoke ==" && go test ./internal/qgen/ -run xxx -fuzz FuzzQueryAgreement -fuzztime 10s
+# Map store model: random add / delete-to-zero / slot reuse / late index
+# registration on every layout, checked against a plain Go map through
+# every access path.
+echo "== map store fuzz smoke ==" && go test ./internal/runtime/ -run xxx -fuzz FuzzMapIndexModel -fuzztime 10s
 
 # Failure isolation: the chaos matrix (quota breacher + panicker + native
 # child kill alongside a healthy tenant, bitwise-compared to a fault-free
