@@ -58,6 +58,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE dbt_wal_appends_total counter\ndbt_wal_appends_total %d\n", d.Appends)
 		fmt.Fprintf(w, "# TYPE dbt_wal_appended_bytes_total counter\ndbt_wal_appended_bytes_total %d\n", d.AppendedBytes)
 		fmt.Fprintf(w, "# TYPE dbt_wal_syncs_total counter\ndbt_wal_syncs_total %d\n", d.Syncs)
+		fmt.Fprintf(w, "# TYPE dbt_wal_replay_bytes_total counter\ndbt_wal_replay_bytes_total %d\n", d.ReplayBytes)
+		fmt.Fprintf(w, "# TYPE dbt_wal_replay_records_total counter\ndbt_wal_replay_records_total %d\n", d.ReplayRecords)
 		fmt.Fprintf(w, "# TYPE dbt_wal_group_commits_total counter\ndbt_wal_group_commits_total %d\n", d.GroupCommits)
 		fmt.Fprintf(w, "# TYPE dbt_wal_group_size histogram\n")
 		writePromHistogram(w, "dbt_wal_group_size", `stage="commit"`, d.GroupSize)

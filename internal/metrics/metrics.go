@@ -62,6 +62,9 @@ func (g *Gauge) Inc() int64 { return g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
+// Add adds n.
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
+
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
@@ -257,8 +260,13 @@ type WALStats struct {
 	CheckpointBytes Counter
 	Recoveries      Counter
 	ReplayedRecords Counter
-	GroupCommits    Counter
-	GroupSize       Histogram
+	// ReplayBytes and ReplayRecords are the read side of the log: segment
+	// bytes read, and records read and checksummed, by every replay scan —
+	// recovery, a registration's catch-up passes and its final drain.
+	ReplayBytes   Counter
+	ReplayRecords Counter
+	GroupCommits  Counter
+	GroupSize     Histogram
 }
 
 // RobustStats is the overload-protection and failure-isolation series:
@@ -538,6 +546,8 @@ func (s *Sink) Reset() {
 		wal.CheckpointBytes.Reset()
 		wal.Recoveries.Reset()
 		wal.ReplayedRecords.Reset()
+		wal.ReplayBytes.Reset()
+		wal.ReplayRecords.Reset()
 		wal.GroupCommits.Reset()
 		wal.GroupSize.Reset()
 	}
@@ -604,6 +614,8 @@ type WALSnapshot struct {
 	CheckpointBytes uint64            `json:"checkpoint_bytes"`
 	Recoveries      uint64            `json:"recoveries"`
 	ReplayedRecords uint64            `json:"replayed_records"`
+	ReplayBytes     uint64            `json:"replay_bytes"`
+	ReplayRecords   uint64            `json:"replay_records"`
 	GroupCommits    uint64            `json:"group_commits"`
 	GroupSize       HistogramSnapshot `json:"group_size"`
 }
@@ -768,6 +780,8 @@ func (s *Sink) Snapshot() *Snapshot {
 			CheckpointBytes: wal.CheckpointBytes.Load(),
 			Recoveries:      wal.Recoveries.Load(),
 			ReplayedRecords: wal.ReplayedRecords.Load(),
+			ReplayBytes:     wal.ReplayBytes.Load(),
+			ReplayRecords:   wal.ReplayRecords.Load(),
 			GroupCommits:    wal.GroupCommits.Load(),
 			GroupSize:       wal.GroupSize.Snapshot(),
 		}
@@ -851,10 +865,10 @@ func (s *Snapshot) Lines() []string {
 	}
 	if w := s.WAL; w != nil {
 		out = append(out, fmt.Sprintf(
-			"wal appends=%d appended_bytes=%d syncs=%d sync_p99_ns=%d checkpoints=%d ckpt_mean_ns=%.0f ckpt_bytes=%d recoveries=%d replayed=%d group_commits=%d group_p50=%d group_p99=%d",
+			"wal appends=%d appended_bytes=%d syncs=%d sync_p99_ns=%d checkpoints=%d ckpt_mean_ns=%.0f ckpt_bytes=%d recoveries=%d replayed=%d replay_bytes=%d replay_records=%d group_commits=%d group_p50=%d group_p99=%d",
 			w.Appends, w.AppendedBytes, w.Syncs, w.SyncNs.Quantile(0.99),
 			w.Checkpoints, w.CheckpointNs.Mean(), w.CheckpointBytes,
-			w.Recoveries, w.ReplayedRecords,
+			w.Recoveries, w.ReplayedRecords, w.ReplayBytes, w.ReplayRecords,
 			w.GroupCommits, w.GroupSize.Quantile(0.50), w.GroupSize.Quantile(0.99)))
 	}
 	if r := s.Robust; r != nil {

@@ -11,7 +11,7 @@ import (
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/metrics"
 	"dbtoaster/internal/runtime"
-	"dbtoaster/internal/stream"
+	"dbtoaster/internal/schema"
 	"dbtoaster/internal/wal"
 )
 
@@ -310,95 +310,129 @@ func (s *Server) restoreQuery(name, sqlText string, fromSeq uint64, blob []byte)
 	return nil
 }
 
-// replayInto replays retained WAL event records with after < seq (≤ until
-// when until is nonzero) into eng, skipping registration records. Engine
-// rejections mirror live ingest: a record the engines rejected live is
-// rejected again identically, so skipping it reconverges on the same
-// state.
-func (s *Server) replayInto(eng engine.Engine, after, until uint64, qs *metrics.QueryStats) (first, last uint64, err error) {
-	return s.wal.ReplayRange(after, until, func(seq uint64, data []byte) error {
-		if wal.RecordType(data) >= wal.RecRegister {
-			return nil
+// catchUp is one query's replay from the retained log into its private
+// engine: the cursor it has read to, which lets every pass after the first —
+// and the final drain under the control lane — start where the previous one
+// stopped, and the totals the registration's log record reports.
+type catchUp struct {
+	eng engine.CompiledEngine
+	src wal.EventSource
+	cur wal.Cursor
+	qs  *metrics.QueryStats
+
+	first          uint64 // first record seen (0: none yet)
+	passes         int
+	records, bytes uint64
+	rejected       int
+}
+
+// newCatchUp prepares the replay of records past after into eng. Only
+// events of relations eng's program has a trigger on are decoded; the rest
+// of the log is read past.
+func (s *Server) newCatchUp(name string, eng engine.CompiledEngine, after uint64) *catchUp {
+	triggered := map[*schema.Relation]bool{}
+	for _, t := range eng.Compiled().Program.Triggers {
+		if r, ok := s.cat.Relation(t.Relation); ok && len(t.Stmts) > 0 {
+			triggered[r] = true
 		}
-		rel, insert, args, derr := wal.DecodeEvent(data)
-		if derr != nil {
-			return fmt.Errorf("wal record %d: %w", seq, derr)
+	}
+	c := &catchUp{eng: eng, cur: wal.Cursor{Seq: after}}
+	c.src = wal.EventSource{Catalog: s.cat, Keep: func(r *schema.Relation) bool { return triggered[r] }}
+	if s.sink != nil {
+		c.qs = s.sink.Query(name)
+	}
+	return c
+}
+
+// advance replays what the log holds past the cursor (before until, when
+// non-zero) and returns how many records that was. Batches hold only events
+// the catalog admits, so the engine ends where record-by-record OnEvent
+// calls would leave it; an engine failure is counted, as a rejection is,
+// and the replay goes on — exactly what live ingest does with a logged
+// event.
+func (c *catchUp) advance(log *wal.Manager, until uint64) (uint64, error) {
+	info, err := log.ReplayBatches(&c.cur, until, c.src, func(b *wal.Batch) error {
+		if len(b.Events) > 0 && c.eng.OnEventBatch(b.Events) != nil {
+			c.rejected++
 		}
-		op := stream.Delete
-		if insert {
-			op = stream.Insert
-		}
-		_ = eng.OnEvent(stream.Event{Op: op, Relation: rel, Args: args})
-		if qs != nil {
-			qs.CatchupEvents.Inc()
+		c.rejected += b.Rejected
+		if c.qs != nil {
+			c.qs.CatchupEvents.Add(int64(b.Records))
 		}
 		return nil
 	})
+	if c.first == 0 {
+		c.first = info.First
+	}
+	c.passes++
+	c.records += info.Records
+	c.bytes += info.Bytes
+	return info.Records, err
 }
 
 // runRecovery rebuilds server state from the WAL directory: checkpoint
-// restore, then idempotent replay of the log tail. Event records fan out
-// to every live query; REGISTER records rebuild the query exactly as the
+// restore, then idempotent replay of the log tail through the live ingest
+// path — batches of events fan out to every live query through
+// Registry.OnEventBatch. REGISTER records rebuild the query exactly as the
 // live registration did (private engine, nested replay of the records it
 // had caught up on, install); UNREGISTER records remove it again.
 // Engine-level apply errors during replay are counted, not fatal.
 func (s *Server) runRecovery() (wal.RecoveryInfo, error) {
-	return s.wal.Recover(
-		s.restoreState,
-		func(seq uint64, data []byte) error {
-			switch wal.RecordType(data) {
-			case wal.RecRegister:
-				name, sqlText, fromSeq, err := wal.DecodeRegister(data)
-				if err != nil {
-					return fmt.Errorf("wal record %d: %w", seq, err)
-				}
-				return s.recoverRegister(name, sqlText, fromSeq, seq)
-			case wal.RecQuarantine:
-				name, reason, lastGood, err := wal.DecodeQuarantine(data)
-				if err != nil {
-					return fmt.Errorf("wal record %d: %w", seq, err)
-				}
-				if qerr := s.reg.Quarantine(name, reason, lastGood); qerr != nil {
-					// Deterministic replay (a size-quota breach re-fires at
-					// the same position) may have demoted the query already,
-					// or a newer checkpoint no longer holds it: no-op, like a
-					// rejected event.
-					s.replayErrs++
-				}
-				return nil
-			case wal.RecUnregister:
-				name, err := wal.DecodeUnregister(data)
-				if err != nil {
-					return fmt.Errorf("wal record %d: %w", seq, err)
-				}
-				eng, rerr := s.reg.Remove(name)
-				if rerr != nil {
-					// Removal of a query a newer checkpoint no longer holds
-					// replays as a no-op, like a rejected event.
-					s.replayErrs++
-					return nil
-				}
-				if s.sink != nil {
-					s.sink.DropLabel(name)
-				}
-				closeEngine(eng)
-				return nil
-			default:
-				rel, insert, args, err := wal.DecodeEvent(data)
-				if err != nil {
-					return fmt.Errorf("wal record %d: %w", seq, err)
-				}
-				op := stream.Delete
-				if insert {
-					op = stream.Insert
-				}
-				if err := s.reg.OnEvent(stream.Event{Op: op, Relation: rel, Args: args}); err != nil {
-					s.replayErrs++
-				}
-				s.events++
-				return nil
-			}
-		})
+	src := wal.EventSource{Catalog: s.cat, Lifecycle: true}
+	return s.wal.RecoverBatches(s.restoreState, src, func(b *wal.Batch) error {
+		if len(b.Events) > 0 && s.reg.OnEventBatch(b.Events) != nil {
+			s.replayErrs++
+		}
+		s.replayErrs += uint64(b.Rejected)
+		s.events += uint64(b.Records)
+		if b.LifecycleSeq == 0 {
+			return nil
+		}
+		return s.recoverLifecycle(b.LifecycleSeq, b.Lifecycle)
+	})
+}
+
+// recoverLifecycle replays one REGISTER, UNREGISTER or QUARANTINE record.
+func (s *Server) recoverLifecycle(seq uint64, data []byte) error {
+	switch wal.RecordType(data) {
+	case wal.RecRegister:
+		name, sqlText, fromSeq, err := wal.DecodeRegister(data)
+		if err != nil {
+			return fmt.Errorf("wal record %d: %w", seq, err)
+		}
+		return s.recoverRegister(name, sqlText, fromSeq, seq)
+	case wal.RecQuarantine:
+		name, reason, lastGood, err := wal.DecodeQuarantine(data)
+		if err != nil {
+			return fmt.Errorf("wal record %d: %w", seq, err)
+		}
+		if qerr := s.reg.Quarantine(name, reason, lastGood); qerr != nil {
+			// Deterministic replay (a size-quota breach re-fires at
+			// the same position) may have demoted the query already,
+			// or a newer checkpoint no longer holds it: no-op, like a
+			// rejected event.
+			s.replayErrs++
+		}
+		return nil
+	case wal.RecUnregister:
+		name, err := wal.DecodeUnregister(data)
+		if err != nil {
+			return fmt.Errorf("wal record %d: %w", seq, err)
+		}
+		eng, rerr := s.reg.Remove(name)
+		if rerr != nil {
+			// Removal of a query a newer checkpoint no longer holds
+			// replays as a no-op, like a rejected event.
+			s.replayErrs++
+			return nil
+		}
+		if s.sink != nil {
+			s.sink.DropLabel(name)
+		}
+		closeEngine(eng)
+		return nil
+	}
+	return fmt.Errorf("wal record %d: unknown record type %d", seq, wal.RecordType(data))
 }
 
 // recoverRegister replays one REGISTER record: the query goes live having
@@ -429,11 +463,10 @@ func (s *Server) recoverRegister(name, sqlText string, fromSeq, recordSeq uint64
 		s.reg.Abort(name)
 		return fmt.Errorf("recover register %q: %w", name, err)
 	}
-	var qs *metrics.QueryStats
-	if s.sink != nil {
-		qs = s.sink.Query(name)
-	}
-	if _, _, err := s.replayInto(tmp, fromSeq, recordSeq, qs); err != nil {
+	cu := s.newCatchUp(name, tmp, fromSeq)
+	_, err = cu.advance(s.wal, recordSeq)
+	s.catchupBytes += cu.bytes
+	if err != nil {
 		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover register %q: %w", name, err)

@@ -573,6 +573,7 @@ func TestRegisterResultNamespaced(t *testing.T) {
 // compile + WAL catch-up + hot swap. It reports catch-up latency
 // percentiles and the mean compile time alongside ns/op.
 func BenchmarkRegistryRegister(b *testing.B) {
+	captureLogs(b)
 	cat := dynCatalog()
 	s, err := NewWithOptions(dynMainSQL, cat, Options{WALDir: b.TempDir(), NoMetrics: false})
 	if err != nil {

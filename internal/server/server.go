@@ -61,6 +61,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"strconv"
@@ -166,6 +167,9 @@ type Server struct {
 	sinceCkpt  uint64
 	recovery   *wal.RecoveryInfo
 	replayErrs uint64
+	// catchupBytes is what the nested catch-ups of recovered REGISTER
+	// records read, beside the recovery scan's own RecoveryInfo.BytesRead.
+	catchupBytes uint64
 }
 
 // New compiles the initial query (registered as "main") for serving.
@@ -238,6 +242,9 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 				return nil, fmt.Errorf("server: recovery: %w", err)
 			}
 			s.recovery = &info
+			slog.Info("recovered", "checkpoint_gen", info.CheckpointGen, "watermark", info.Watermark,
+				"records", info.Replayed, "bytes", info.BytesRead, "catchup_bytes", s.catchupBytes,
+				"rejected", s.replayErrs, "seconds", info.Elapsed.Seconds())
 		}
 	}
 	// Construction can no longer fail; start the group-commit stage.
@@ -336,14 +343,12 @@ func (s *Server) install(name, sqlText string) error {
 	if err != nil {
 		return err
 	}
-	var qs *metrics.QueryStats
 	if s.sink != nil {
-		qs = s.sink.Query(name)
-		qs.CompileNs.Set(int64(time.Since(start)))
+		s.sink.Query(name).CompileNs.Set(int64(time.Since(start)))
 	}
 
 	live := s.com != nil && s.wal != nil
-	var firstSeen, lastSeen uint64
+	var cu *catchUp
 	if live {
 		// Catch up outside the ingest path: replay the retained history
 		// into the private engine while the committer keeps accepting
@@ -352,52 +357,43 @@ func (s *Server) install(name, sqlText string) error {
 		release := s.wal.Pin()
 		defer release()
 		s.reg.SetState(name, engine.StateCatchingUp)
-		// Converge against a live producer: each pass replays what arrived
-		// during the previous one, so the net shrinks geometrically unless
-		// ingest outruns replay. Hand off to the control lane once a pass
-		// nets only a group-commit's worth (or after a pass cap, so a
-		// saturating producer cannot livelock the registration) — the final
-		// drain's cost, and thus the ingest stall, stays bounded either way.
+		cu = s.newCatchUp(name, tmp, 0)
+		// Advance the cursor until a pass nets little: each pass reads only
+		// what arrived during the previous one, so the net shrinks
+		// geometrically unless ingest outruns replay. Hand off to the
+		// control lane once a pass nets only a group-commit's worth (or
+		// after a pass cap, so a saturating producer cannot livelock the
+		// registration) — the final drain's cost, and thus the ingest stall,
+		// stays bounded either way.
 		const drainThreshold = 512
-		for passes := 0; passes < 32; passes++ {
-			first, last, rerr := s.replayInto(tmp, lastSeen, 0, qs)
+		for cu.passes < 32 {
+			netted, rerr := cu.advance(s.wal, 0)
 			if rerr != nil {
 				closeEngine(tmp)
 				return rerr
 			}
-			if first == 0 {
-				break // nothing new; the rest drains under the control lane
-			}
-			if firstSeen == 0 {
-				firstSeen = first
-			}
-			netted := last - lastSeen
-			lastSeen = last
 			if netted <= drainThreshold {
 				break
 			}
 		}
 	}
 
+	var fromSeq, drainBytes uint64
+	var drain time.Duration
 	err = s.control(func() error {
-		var fromSeq uint64
 		if live {
 			// Final drain: the log is static under the control lane, so one
-			// pass closes the gap between catch-up and the swap. Its cost is
-			// bounded by what arrived during the previous full pass —
-			// normally under one group-commit window.
-			first, last, rerr := s.replayInto(tmp, lastSeen, 0, qs)
-			if rerr != nil {
+			// more advance closes the gap between catch-up and the swap. It
+			// reads from the cursor, not from the start of the log: what
+			// arrived since the last pass — normally under one group-commit
+			// window, nothing at all on an idle server.
+			t0, read := time.Now(), cu.bytes
+			if _, rerr := cu.advance(s.wal, 0); rerr != nil {
 				return rerr
 			}
-			if firstSeen == 0 {
-				firstSeen = first
-			}
-			if last > lastSeen {
-				lastSeen = last
-			}
-			if firstSeen != 0 {
-				fromSeq = firstSeen - 1
+			drain, drainBytes = time.Since(t0), cu.bytes-read
+			if cu.first != 0 {
+				fromSeq = cu.first - 1
 			} else {
 				fromSeq = s.wal.LastSeq()
 			}
@@ -415,8 +411,15 @@ func (s *Server) install(name, sqlText string) error {
 	})
 	if err != nil {
 		closeEngine(tmp)
+		return err
 	}
-	return err
+	if live {
+		slog.Info("registration caught up", "query", name, "from_seq", fromSeq,
+			"records", cu.records, "bytes", cu.bytes, "passes", cu.passes, "rejected", cu.rejected,
+			"seconds", time.Since(start).Seconds(),
+			"drain_ms", float64(drain)/float64(time.Millisecond), "drain_bytes", drainBytes)
+	}
+	return nil
 }
 
 // Unregister removes a standing query at a control point in the ingest

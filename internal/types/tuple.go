@@ -121,43 +121,51 @@ func EncodeKey(t Tuple) Key {
 // produced. Snapshot restore and WAL replay decode through here, where the
 // bytes come from disk rather than from our own encoder.
 func DecodeKeyChecked(b []byte) (Tuple, error) {
-	var out Tuple
+	return AppendDecodedKey(nil, b)
+}
+
+// AppendDecodedKey is DecodeKeyChecked into a caller's slab: the decoded
+// values are appended to dst, so a run of keys decodes into one allocation
+// (plus one per string value). On error dst is returned at its original
+// length.
+func AppendDecodedKey(dst []Value, b []byte) ([]Value, error) {
+	start := len(dst)
 	for len(b) > 0 {
 		kind := Kind(b[0])
 		b = b[1:]
 		switch kind {
 		case KindNull:
-			out = append(out, Null)
+			dst = append(dst, Null)
 		case KindInt, KindBool, KindFloat:
 			if len(b) < 8 {
-				return nil, fmt.Errorf("types: truncated %s key payload", kind)
+				return dst[:start], fmt.Errorf("types: truncated %s key payload", kind)
 			}
 			bits := binary.LittleEndian.Uint64(b)
 			b = b[8:]
 			switch kind {
 			case KindInt:
-				out = append(out, NewInt(int64(bits)))
+				dst = append(dst, NewInt(int64(bits)))
 			case KindBool:
-				out = append(out, NewBool(bits != 0))
+				dst = append(dst, NewBool(bits != 0))
 			default:
-				out = append(out, NewFloat(math.Float64frombits(bits)))
+				dst = append(dst, NewFloat(math.Float64frombits(bits)))
 			}
 		case KindString:
 			if len(b) < 4 {
-				return nil, fmt.Errorf("types: truncated string key length")
+				return dst[:start], fmt.Errorf("types: truncated string key length")
 			}
 			n := int(binary.LittleEndian.Uint32(b))
 			b = b[4:]
 			if n < 0 || n > len(b) {
-				return nil, fmt.Errorf("types: string key length %d exceeds remaining %d bytes", n, len(b))
+				return dst[:start], fmt.Errorf("types: string key length %d exceeds remaining %d bytes", n, len(b))
 			}
-			out = append(out, NewString(string(b[:n])))
+			dst = append(dst, NewString(string(b[:n])))
 			b = b[n:]
 		default:
-			return nil, fmt.Errorf("types: unknown key kind tag 0x%02x", byte(kind))
+			return dst[:start], fmt.Errorf("types: unknown key kind tag 0x%02x", byte(kind))
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DecodeKey inverts EncodeKey. It is used by snapshots and the debugger to

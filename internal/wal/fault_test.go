@@ -175,22 +175,15 @@ func recoverDir(t *testing.T, dir string, v faultVariant, q *engine.Query) (engi
 		t.Fatalf("build for recovery: %v", err)
 	}
 	d := e.(engine.Durable)
-	info, err := m.Recover(
+	// The path the server recovers through: the tail in batches, handed to
+	// the engine whole.
+	info, err := m.RecoverBatches(
 		func(r io.Reader) error {
 			_, err := d.StateRestore(r)
 			return err
 		},
-		func(seq uint64, data []byte) error {
-			rel, insert, args, err := wal.DecodeEvent(data)
-			if err != nil {
-				return fmt.Errorf("record %d: %w", seq, err)
-			}
-			op := stream.Delete
-			if insert {
-				op = stream.Insert
-			}
-			return e.OnEvent(stream.Event{Op: op, Relation: rel, Args: args})
-		})
+		wal.EventSource{Catalog: q.Catalog},
+		func(b *wal.Batch) error { return e.OnEventBatch(b.Events) })
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

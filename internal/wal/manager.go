@@ -38,6 +38,8 @@ type RecoveryInfo struct {
 	Replayed           uint64 // WAL records applied after the checkpoint
 	SkippedCheckpoints int    // corrupt/truncated checkpoints passed over
 	TruncatedBytes     int64  // torn-tail bytes dropped from the active segment at Open
+	BytesRead          uint64 // segment bytes the replay read
+	Elapsed            time.Duration
 }
 
 // Manager owns one WAL directory: the active segment, the sequence
@@ -126,16 +128,18 @@ func Open(dir string, opts Options) (*Manager, error) {
 	// Walk every retained segment to find the last durable sequence
 	// number; repair the active (newest) segment's torn tail in place.
 	var lastSeq uint64
+	var buf []byte
 	for i, gen := range m.segGens {
 		path := filepath.Join(dir, segName(gen))
-		body, err := os.ReadFile(path)
+		seg, err := openSegment(path, 0, buf)
 		if err != nil {
 			return nil, err
 		}
 		isActive := i == len(m.segGens)-1
-		if _, err := parseSegHeader(body); err != nil {
-			if !isActive {
-				return nil, fmt.Errorf("wal: segment %s: %w", segName(gen), err)
+		if err := seg.header(); err != nil {
+			seg.f.Close()
+			if seg.err != nil || !isActive {
+				return nil, err
 			}
 			// A crash mid-rotation leaves the newest segment with a torn
 			// header and necessarily no records; rewrite it whole.
@@ -143,21 +147,29 @@ func Open(dir string, opts Options) (*Manager, error) {
 			if err := os.WriteFile(path, hdr, 0o644); err != nil {
 				return nil, err
 			}
-			m.truncated += int64(len(body))
+			m.truncated += seg.size
 			continue
 		}
-		validLen, _ := scanRecords(body[segHdrLen:], func(seq uint64, _ []byte) error {
+		for {
+			seq, _, ok := seg.next()
+			if !ok {
+				break
+			}
 			if seq > lastSeq {
 				lastSeq = seq
 			}
 			m.hadState = true
-			return nil
-		})
-		if torn := len(body) - segHdrLen - validLen; torn > 0 && isActive {
-			if err := os.Truncate(path, int64(segHdrLen+validLen)); err != nil {
+		}
+		buf = seg.buf
+		seg.f.Close()
+		if seg.err != nil {
+			return nil, seg.err
+		}
+		if torn := seg.size - seg.off; torn > 0 && isActive {
+			if err := os.Truncate(path, seg.off); err != nil {
 				return nil, err
 			}
-			m.truncated += int64(torn)
+			m.truncated += torn
 		}
 	}
 	m.seq = lastSeq
@@ -514,6 +526,20 @@ func (m *Manager) pruneLocked(ckptGen uint64) {
 // retained log. Recover runs before serving starts; it is not meant to be
 // concurrent with appends.
 func (m *Manager) Recover(restore func(r io.Reader) error, apply func(seq uint64, data []byte) error) (RecoveryInfo, error) {
+	return m.recoverWith(restore, func(cur *Cursor) (ScanInfo, error) { return m.scan(cur, 0, apply) })
+}
+
+// RecoverBatches is Recover with the log tail delivered as replay batches
+// (see ReplayBatches); src.Lifecycle decides whether lifecycle records are
+// among them.
+func (m *Manager) RecoverBatches(restore func(r io.Reader) error, src EventSource, apply func(*Batch) error) (RecoveryInfo, error) {
+	return m.recoverWith(restore, func(cur *Cursor) (ScanInfo, error) { return m.ReplayBatches(cur, 0, src, apply) })
+}
+
+// recoverWith restores the newest valid checkpoint and hands replay a cursor
+// at its watermark.
+func (m *Manager) recoverWith(restore func(r io.Reader) error, replay func(*Cursor) (ScanInfo, error)) (RecoveryInfo, error) {
+	start := time.Now()
 	m.mu.Lock()
 	if err := m.usableLocked(); err != nil {
 		m.mu.Unlock()
@@ -526,7 +552,6 @@ func (m *Manager) Recover(restore func(r io.Reader) error, apply func(seq uint64
 		TruncatedBytes:     m.truncated,
 	}
 	ckptGen, ckptPath := m.ckptGen, m.ckptPath
-	segGens := append([]uint64{}, m.segGens...)
 	m.mu.Unlock()
 
 	if ckptGen != 0 && restore != nil {
@@ -542,30 +567,10 @@ func (m *Manager) Recover(restore func(r io.Reader) error, apply func(seq uint64
 			return info, fmt.Errorf("wal: checkpoint restore: %w", err)
 		}
 	}
-	for _, gen := range segGens {
-		if gen <= ckptGen {
-			continue
-		}
-		body, err := os.ReadFile(filepath.Join(m.dir, segName(gen)))
-		if err != nil {
-			return info, err
-		}
-		if _, err := parseSegHeader(body); err != nil {
-			return info, fmt.Errorf("wal: segment %s: %w", segName(gen), err)
-		}
-		_, err = scanRecords(body[segHdrLen:], func(seq uint64, data []byte) error {
-			if seq <= info.Watermark {
-				return nil
-			}
-			if err := apply(seq, data); err != nil {
-				return err
-			}
-			info.Replayed++
-			return nil
-		})
-		if err != nil {
-			return info, err
-		}
+	si, err := replay(&Cursor{Gen: ckptGen + 1, Seq: info.Watermark})
+	info.Replayed, info.BytesRead, info.Elapsed = si.Records, si.Bytes, time.Since(start)
+	if err != nil {
+		return info, err
 	}
 	if st := m.opts.Stats; st != nil {
 		st.Recoveries.Inc()
@@ -595,59 +600,16 @@ func (m *Manager) Pin() (release func()) {
 
 // ReplayRange replays retained records with after < seq (and, when until
 // is non-zero, seq < until) in sequence order, returning the first and
-// last sequence numbers applied (both zero when none matched). Unlike
-// Recover it walks every retained segment, including those at or before
-// the newest checkpoint generation — it is the catch-up path for queries
+// last sequence numbers applied (both zero when none matched); it reads no
+// further than the first record at or past until. Unlike Recover it walks
+// the retained segments from the oldest, including those at or before the
+// newest checkpoint generation — it is the catch-up path for queries
 // registered mid-stream, which need the full retained history, not the
-// post-checkpoint tail.
-//
-// The manager's lock is only held to snapshot the segment list, so
-// ReplayRange is safe to run concurrently with appends: a record half
-// written when a segment is read looks like a torn tail and ends that
-// pass cleanly; the caller re-invokes with after = last until no new
-// records appear. Callers replaying concurrently with checkpoints must
-// hold a Pin so pruning cannot remove segments mid-pass.
+// post-checkpoint tail. See scan for running it beside appends and
+// checkpoints.
 func (m *Manager) ReplayRange(after, until uint64, apply func(seq uint64, data []byte) error) (first, last uint64, err error) {
-	m.mu.Lock()
-	if err := m.usableLocked(); err != nil {
-		m.mu.Unlock()
-		return 0, 0, err
-	}
-	segGens := append([]uint64{}, m.segGens...)
-	m.mu.Unlock()
-
-	for _, gen := range segGens {
-		body, err := os.ReadFile(filepath.Join(m.dir, segName(gen)))
-		if err != nil {
-			if os.IsNotExist(err) {
-				// Pruned between the snapshot and the read (no pin held);
-				// its records are at or before a checkpoint watermark the
-				// caller will restore from instead.
-				continue
-			}
-			return first, last, err
-		}
-		if _, err := parseSegHeader(body); err != nil {
-			return first, last, fmt.Errorf("wal: segment %s: %w", segName(gen), err)
-		}
-		_, err = scanRecords(body[segHdrLen:], func(seq uint64, data []byte) error {
-			if seq <= after || (until != 0 && seq >= until) {
-				return nil
-			}
-			if err := apply(seq, data); err != nil {
-				return err
-			}
-			if first == 0 {
-				first = seq
-			}
-			last = seq
-			return nil
-		})
-		if err != nil {
-			return first, last, err
-		}
-	}
-	return first, last, nil
+	info, err := m.scan(&Cursor{Seq: after}, until, apply)
+	return info.First, info.Last, err
 }
 
 // Close releases the active segment. After an injected crash it only

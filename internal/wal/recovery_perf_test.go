@@ -1,11 +1,9 @@
 package wal_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
+	"io"
+	goruntime "runtime"
 	"testing"
-	"time"
 
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/stream"
@@ -13,85 +11,114 @@ import (
 	"dbtoaster/internal/wal"
 )
 
-// TestRecoveryFasterThanReplay quantifies why checkpoints exist: over a
-// 100k-event stream, recovering from a checkpoint plus a short log tail
-// must beat replaying the entire log through the triggers. The measured
-// numbers (checkpoint size, write duration, both recovery paths) are the
-// EXPERIMENTS.md durability table.
-func TestRecoveryFasterThanReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const nEvents, tail = 100_000, 5_000
-	q := faultQuery(t)
-	v := faultVariants()[0] // single compiled engine
+// The replay benchmarks: one body, three readers. Over the same 100k-event
+// log, BenchmarkReplay/per-event is the record-at-a-time loop recovery used
+// to run (ReplayRange's callback, DecodeEvent, OnEvent), /batched is what it
+// runs now (ReplayBatches into OnEventBatch), and /checkpoint+tail recovers
+// from a checkpoint taken 5k events before the end — why checkpoints exist.
+// SUITE=registry scripts/bench.sh records them in BENCH_registry.json; the
+// numbers are EXPERIMENTS.md's durability and replay tables.
 
-	evs := make([]stream.Event, 0, nEvents)
-	rels := []string{"R", "S", "T"}
-	for i := 0; i < nEvents; i++ {
-		evs = append(evs, stream.Ins(rels[i%3],
-			types.NewInt(int64(i%50)), types.NewInt(int64((i/3)%50))))
-	}
+const replayBenchEvents, replayBenchTail = 100_000, 5_000
 
-	// seed feeds one directory, checkpointing after ckptAt events (0 = never).
-	seed := func(dir string, ckptAt int) (ckptBytes int64, ckptDur time.Duration) {
-		m, err := wal.Open(dir, wal.Options{})
+// replayReader recovers m's directory into e and reports what Recover did.
+type replayReader func(m *wal.Manager, e engine.Engine, q *engine.Query) (wal.RecoveryInfo, error)
+
+func restoreInto(e engine.Engine) func(io.Reader) error {
+	return func(r io.Reader) error {
+		_, err := e.(engine.Durable).StateRestore(r)
+		return err
+	}
+}
+
+func recoverPerEvent(m *wal.Manager, e engine.Engine, _ *engine.Query) (wal.RecoveryInfo, error) {
+	return m.Recover(restoreInto(e), func(seq uint64, data []byte) error {
+		ev, err := decodeRecord(data)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		defer m.Close()
+		return e.OnEvent(ev)
+	})
+}
+
+func recoverBatched(m *wal.Manager, e engine.Engine, q *engine.Query) (wal.RecoveryInfo, error) {
+	return m.RecoverBatches(restoreInto(e), wal.EventSource{Catalog: q.Catalog},
+		func(b *wal.Batch) error { return e.OnEventBatch(b.Events) })
+}
+
+func BenchmarkReplay(b *testing.B) {
+	b.Run("per-event", func(b *testing.B) { benchmarkReplay(b, 0, recoverPerEvent) })
+	b.Run("batched", func(b *testing.B) { benchmarkReplay(b, 0, recoverBatched) })
+	b.Run("checkpoint+tail", func(b *testing.B) {
+		benchmarkReplay(b, replayBenchEvents-replayBenchTail, recoverBatched)
+	})
+}
+
+// benchmarkReplay logs replayBenchEvents events (checkpointing after ckptAt
+// of them when non-zero), then times reader recovering the directory into a
+// fresh engine, b.N times. It reports ns and allocations per event covered.
+func benchmarkReplay(b *testing.B, ckptAt int, reader replayReader) {
+	t := &testing.T{}
+	q := faultQuery(t)
+	v := faultVariants()[0] // the single compiled engine
+	dir := b.TempDir()
+	m, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	seedEng, err := v.build(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer closeFaultEngine(seedEng)
+	rels := []string{"R", "S", "T"}
+	var enc []byte
+	for i := 0; i < replayBenchEvents; i++ {
+		ev := stream.Ins(rels[i%3], types.NewInt(int64(i%50)), types.NewInt(int64((i/3)%50)))
+		enc = wal.AppendEventRecord(enc[:0], ev.Relation, true, ev.Args)
+		if _, err := m.AppendEncoded([][]byte{enc}); err != nil {
+			b.Fatal(err)
+		}
+		if err := seedEng.OnEvent(ev); err != nil {
+			b.Fatal(err)
+		}
+		if i+1 == ckptAt {
+			if _, _, err := m.Checkpoint(seedEng.(engine.Durable).StateSnapshot); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Recover reads what Open discovered; reopen so it sees the checkpoint.
+	m.Close()
+	if m, err = wal.Open(dir, wal.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+
+	var before, after goruntime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		e, err := v.build(q)
 		if err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
-		defer closeFaultEngine(e)
-		for i, ev := range evs {
-			rec := wal.AppendEvent(nil, ev.Relation, ev.Op == stream.Insert, ev.Args)
-			if _, err := m.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.OnEvent(ev); err != nil {
-				t.Fatal(err)
-			}
-			if ckptAt > 0 && i+1 == ckptAt {
-				start := time.Now()
-				gen, _, err := m.Checkpoint(e.(engine.Durable).StateSnapshot)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ckptDur = time.Since(start)
-				if st, err := os.Stat(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.ckpt", gen))); err == nil {
-					ckptBytes = st.Size()
-				}
-			}
+		goruntime.ReadMemStats(&before)
+		b.StartTimer()
+		info, err := reader(m, e, q)
+		b.StopTimer()
+		goruntime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if err != nil || info.Watermark+info.Replayed != replayBenchEvents {
+			b.Fatalf("recovered %d+%d of %d events: %v", info.Watermark, info.Replayed, replayBenchEvents, err)
 		}
-		return ckptBytes, ckptDur
-	}
-
-	ckptDir, replayDir := t.TempDir(), t.TempDir()
-	ckptBytes, ckptDur := seed(ckptDir, nEvents-tail)
-	seed(replayDir, 0)
-
-	timeRecovery := func(dir string) (time.Duration, int) {
-		start := time.Now()
-		e, m, recovered := recoverDir(t, dir, v, q)
-		d := time.Since(start)
 		closeFaultEngine(e)
-		m.Close()
-		if recovered != nEvents {
-			t.Fatalf("%s: recovered %d events, want %d", dir, recovered, nEvents)
-		}
-		return d, recovered
+		b.StartTimer()
 	}
-	ckptRecovery, _ := timeRecovery(ckptDir)
-	fullReplay, _ := timeRecovery(replayDir)
-
-	t.Logf("events=%d tail=%d checkpoint_bytes=%d checkpoint_write=%s recovery_ckpt+tail=%s recovery_full_replay=%s speedup=%.1fx",
-		nEvents, tail, ckptBytes, ckptDur.Round(time.Microsecond),
-		ckptRecovery.Round(time.Microsecond), fullReplay.Round(time.Microsecond),
-		float64(fullReplay)/float64(ckptRecovery))
-	if ckptRecovery >= fullReplay {
-		t.Fatalf("checkpoint recovery (%s) not faster than full replay (%s) over %d events",
-			ckptRecovery, fullReplay, nEvents)
-	}
+	b.StopTimer()
+	events := float64(b.N) * replayBenchEvents
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(mallocs)/events, "allocs/event")
 }

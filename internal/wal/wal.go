@@ -133,36 +133,6 @@ func sealRecords(dst []byte, seq uint64, enc []byte) ([]byte, uint64, error) {
 	return dst, seq, nil
 }
 
-// scanRecords walks the records in a segment body (the bytes after the
-// header), calling visit for each intact record, and returns the length
-// of the valid prefix. A truncated or CRC-mismatched record ends the scan
-// without error: it is the torn tail a crash leaves.
-func scanRecords(body []byte, visit func(seq uint64, data []byte) error) (validLen int, err error) {
-	off := 0
-	for {
-		rest := body[off:]
-		if len(rest) < recHdrLen {
-			return off, nil
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(rest))
-		wantCRC := binary.LittleEndian.Uint32(rest[4:])
-		if payloadLen < 8 || payloadLen > maxRecord || len(rest) < recHdrLen+payloadLen {
-			return off, nil
-		}
-		payload := rest[recHdrLen : recHdrLen+payloadLen]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return off, nil
-		}
-		if visit != nil {
-			seq := binary.LittleEndian.Uint64(payload)
-			if err := visit(seq, payload[8:]); err != nil {
-				return off, err
-			}
-		}
-		off += recHdrLen + payloadLen
-	}
-}
-
 // buildCheckpoint serializes a complete checkpoint file image.
 func buildCheckpoint(gen, watermark uint64, payload []byte) []byte {
 	out := make([]byte, 0, ckptHdrLen+len(payload)+4)

@@ -35,7 +35,11 @@
 #                                        # (BenchmarkRegistryRegister →
 #                                        # BENCH_registry.json with
 #                                        # register-latency p50/p99, mean
-#                                        # compile time, catch-up volume)
+#                                        # compile time, catch-up volume;
+#                                        # plus BenchmarkReplay: the log
+#                                        # replayed record by record, in
+#                                        # batches, and from a checkpoint,
+#                                        # ns and allocs per event)
 #   SUITE=overload scripts/bench.sh      # admission control under 1x/2x/4x
 #                                        # producer load against a bounded
 #                                        # commit backlog
@@ -78,9 +82,9 @@ native)
     OUT="${OUT:-BENCH_native.json}"
     ;;
 registry)
-    PATTERN='^BenchmarkRegistryRegister$'
+    PATTERN='^(BenchmarkRegistryRegister|BenchmarkReplay)$'
     OUT="${OUT:-BENCH_registry.json}"
-    PKG="./internal/server"
+    PKG="./internal/server ./internal/wal"
     # Each iteration is one full register (compile + WAL catch-up + swap)
     # plus unregister; the hot-path default of 20000 iterations would
     # replay the retained history 20000 times. BENCHTIME still overrides.
@@ -109,22 +113,38 @@ if [ "$SUITE" = registry ]; then
     # The benchmark reports custom units (register-latency percentiles,
     # mean compile ns, catch-up record count) via b.ReportMetric; parse
     # every "value unit" pair on the result line into a JSON field.
+    # The replay benchmark's rows (BenchmarkReplay/<reader>) follow as the
+    # "replay" array.
     printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" '
+function fields(from,    i, unit, out) {
+    out = ""
+    for (i = from; i <= NF; i += 2) {
+        unit = $(i + 1)
+        gsub(/\//, "_per_", unit)
+        out = out sprintf("%s\"%s\": %s", (out == "" ? "" : ", "), unit, $i)
+    }
+    return out
+}
 /^BenchmarkRegistryRegister/ && / ns\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
+    register = sprintf("  \"name\": \"%s\",\n  %s", name, fields(3))
+}
+/^BenchmarkReplay\// && / ns\/op/ {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    sub(/^BenchmarkReplay\//, "", name)
+    replay = replay sprintf("%s\n    {\"reader\": \"%s\", %s}", (replay == "" ? "" : ","), name, fields(3))
+}
+END {
     print "{"
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"name\": \"%s\",\n", name
-    for (i = 3; i <= NF; i += 2) {
-        unit = $(i + 1)
-        gsub(/\//, "_per_", unit)
-        printf "  \"%s\": %s%s\n", unit, $i, (i + 2 <= NF ? "," : "")
-    }
+    print register ","
+    print "  \"replay\": [" replay "\n  ]"
     print "}"
 }' > "$OUT"
-    if ! grep -q p99_ns "$OUT"; then
-        echo "BENCH_registry.json is missing register-latency percentiles" >&2
+    if ! grep -q p99_ns "$OUT" || ! grep -q '"reader": "batched"' "$OUT"; then
+        echo "BENCH_registry.json is missing register-latency percentiles or the replay rows" >&2
         exit 1
     fi
     echo "wrote $OUT"

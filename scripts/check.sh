@@ -47,6 +47,16 @@ echo "== registry smoke ==" && GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestRegisterCatchUpDifferential|TestMapSharingRefcounts|TestRegistrationCrashRecovery' ./internal/server/
 BENCHTIME=10x SUITE=registry OUT="${TMPDIR:-/tmp}/BENCH_registry_smoke.json" sh scripts/bench.sh >/dev/null
 
+# Replay smoke: replay is live ingest fed from disk, and a catch-up reads
+# the log while the committer appends to it — so the differential property
+# test (batched streaming replay vs the record-at-a-time loop, on the
+# Toaster, sharded and native engines, with a writer appending during the
+# passes), the cursor and read-volume gates, and the crash-recovery fault
+# matrix run under the race detector at real parallelism.
+echo "== replay smoke (GOMAXPROCS=4) ==" && GOMAXPROCS=4 go test -race -count=1 \
+    -run 'TestReplayDifferential|TestReplayBatchesLifecycleOrder|TestCursorResumes|TestCrashRecoveryFaultMatrix|TestDoubleCrashRecovery' ./internal/wal/
+GOMAXPROCS=4 go test -race -count=1 -run 'TestRegisterReadsLogOnce' ./internal/server/
+
 # Native smoke: generate, `go build`, and drive the generated-Go engine
 # for a fixed qgen seed subset and the bakeoff queries, requiring bitwise
 # snapshot equality against the closure engine, plus a short pass of the
@@ -77,6 +87,7 @@ echo "== chaos / overload smoke ==" && GOMAXPROCS=4 go test -race -count=1 \
 bash scripts/chaos_smoke.sh
 echo "== server fuzz smoke ==" && go test ./internal/server/ -run xxx -fuzz FuzzServerCommand -fuzztime 10s
 go test ./internal/server/ -run xxx -fuzz FuzzDeltaCodec -fuzztime 10s
+go test ./internal/wal/ -run xxx -fuzz FuzzDecodeEventInto -fuzztime 10s
 
 echo "== race ==" && go test -race ./...
 echo "tier-1 OK"
