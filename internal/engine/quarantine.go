@@ -108,7 +108,7 @@ func (r *Registry) admit(cat *schema.Catalog, evs []stream.Event) ([]stream.Even
 // fanOut applies evs to every live engine, newest registration first,
 // containing per-engine failures. Healthy engines always see the delta
 // even when another engine rejects or dies on it. Passes must not overlap:
-// the caller serializes them (the server's committer does), as it must for
+// the caller serializes them (the server's commit lane does), as it must for
 // the single-threaded engines anyway.
 func (r *Registry) fanOut(evs []stream.Event) error {
 	live, quota, enforce, eventMajor := r.fanState()

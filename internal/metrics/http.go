@@ -63,6 +63,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE dbt_wal_group_commits_total counter\ndbt_wal_group_commits_total %d\n", d.GroupCommits)
 		fmt.Fprintf(w, "# TYPE dbt_wal_group_size histogram\n")
 		writePromHistogram(w, "dbt_wal_group_size", `stage="commit"`, d.GroupSize)
+		fmt.Fprintf(w, "# TYPE dbt_wal_leader_handoffs_total counter\ndbt_wal_leader_handoffs_total %d\n", d.LeaderHandoffs)
+		fmt.Fprintf(w, "# TYPE dbt_wal_leader_yields_total counter\ndbt_wal_leader_yields_total %d\n", d.LeaderYields)
 	}
 }
 

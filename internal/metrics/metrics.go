@@ -267,10 +267,14 @@ type WALStats struct {
 	ReplayRecords Counter
 	GroupCommits  Counter
 	GroupSize     Histogram
+	// LeaderHandoffs counts commit-lane leaderships passed to a queued
+	// producer; LeaderYields, leaders that yielded after a long swap.
+	LeaderHandoffs Counter
+	LeaderYields   Counter
 }
 
 // RobustStats is the overload-protection and failure-isolation series:
-// requests shed by the bounded committer, connections refused at the
+// requests shed by the bounded commit lane, connections refused at the
 // accept loop, idle connections reaped, queries quarantined, and native
 // children respawned. Registered once per sink, like WALStats.
 type RobustStats struct {
@@ -550,6 +554,8 @@ func (s *Sink) Reset() {
 		wal.ReplayRecords.Reset()
 		wal.GroupCommits.Reset()
 		wal.GroupSize.Reset()
+		wal.LeaderHandoffs.Reset()
+		wal.LeaderYields.Reset()
 	}
 	if robust != nil {
 		robust.ShedRequests.Reset()
@@ -618,6 +624,8 @@ type WALSnapshot struct {
 	ReplayRecords   uint64            `json:"replay_records"`
 	GroupCommits    uint64            `json:"group_commits"`
 	GroupSize       HistogramSnapshot `json:"group_size"`
+	LeaderHandoffs  uint64            `json:"leader_handoffs"`
+	LeaderYields    uint64            `json:"leader_yields"`
 }
 
 // RobustSnapshot is the overload/failure-isolation series at a point in
@@ -784,6 +792,8 @@ func (s *Sink) Snapshot() *Snapshot {
 			ReplayRecords:   wal.ReplayRecords.Load(),
 			GroupCommits:    wal.GroupCommits.Load(),
 			GroupSize:       wal.GroupSize.Snapshot(),
+			LeaderHandoffs:  wal.LeaderHandoffs.Load(),
+			LeaderYields:    wal.LeaderYields.Load(),
 		}
 	}
 	if robust != nil {
@@ -865,11 +875,12 @@ func (s *Snapshot) Lines() []string {
 	}
 	if w := s.WAL; w != nil {
 		out = append(out, fmt.Sprintf(
-			"wal appends=%d appended_bytes=%d syncs=%d sync_p99_ns=%d checkpoints=%d ckpt_mean_ns=%.0f ckpt_bytes=%d recoveries=%d replayed=%d replay_bytes=%d replay_records=%d group_commits=%d group_p50=%d group_p99=%d",
+			"wal appends=%d appended_bytes=%d syncs=%d sync_p99_ns=%d checkpoints=%d ckpt_mean_ns=%.0f ckpt_bytes=%d recoveries=%d replayed=%d replay_bytes=%d replay_records=%d group_commits=%d group_p50=%d group_p99=%d handoffs=%d yields=%d",
 			w.Appends, w.AppendedBytes, w.Syncs, w.SyncNs.Quantile(0.99),
 			w.Checkpoints, w.CheckpointNs.Mean(), w.CheckpointBytes,
 			w.Recoveries, w.ReplayedRecords, w.ReplayBytes, w.ReplayRecords,
-			w.GroupCommits, w.GroupSize.Quantile(0.50), w.GroupSize.Quantile(0.99)))
+			w.GroupCommits, w.GroupSize.Quantile(0.50), w.GroupSize.Quantile(0.99),
+			w.LeaderHandoffs, w.LeaderYields))
 	}
 	if r := s.Robust; r != nil {
 		out = append(out, fmt.Sprintf(

@@ -448,7 +448,7 @@ func (e *Engine) apply(ct *compiledTrigger, args types.Tuple) error {
 //
 // A panicking trigger (a compiler bug, or an armed chaos failpoint) is
 // contained here: the panic becomes a *PanicError so one poisoned tenant
-// cannot unwind the committer's stack. The engine's own maps may be torn
+// cannot unwind the commit lane's leader. The engine's own maps may be torn
 // mid-statement after a panic — callers must treat the error as fatal for
 // this engine (the registry quarantines it) — but every other engine's
 // state is untouched.

@@ -21,7 +21,7 @@ import (
 // and — on the server — one slab of values, not a string per field.
 
 // maxBatch bounds "BATCH <n>". The body cannot be skipped cheaply and is
-// buffered whole before the committer sees it, so n is capped where the
+// buffered whole before it is committed, so n is capped where the
 // buffering is still tens of megabytes.
 const maxBatch = 1 << 20
 

@@ -1,30 +1,45 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
+	"dbtoaster/internal/metrics"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/wal"
 )
 
-// Group commit. Every accepted delta — INSERT, DELETE, or BATCH, from any
-// connection — flows through a single committer goroutine instead of
-// appending to the WAL and applying to the engines under the server lock
-// inline. Concurrent connections that arrive while a group is in flight
-// coalesce into the next group: one WAL write (and one fsync when -wal-sync
-// is set) covers all of them, and each producer is acknowledged only after
-// its events' sequence numbers are durable and applied. This turns the
-// fsync cost from per-connection into per-group while keeping the
-// write-ahead invariant per producer.
+// Leader commit. Every accepted delta — INSERT, DELETE, or BATCH, from any
+// connection — and every control operation goes through one commit lane
+// that has no goroutine of its own: the producer that finds it idle leads,
+// on its own goroutine. A leader swaps out the queue once — its request
+// plus whatever queued behind the previous leader — and commits it as one
+// group (one WAL write, one fsync with -wal-sync); each producer is acked
+// once its events are durable and applied. Producers that arrive while a
+// leader is busy queue behind it; when done, the leader hands leadership to
+// the first of them (one wake, only under contention) or marks the lane
+// idle, and returns to its own client. An uncontended request crosses no
+// goroutine boundary between socket read and ack write.
 //
-// Ordering: the committer appends groups to the WAL and applies them to
-// the engines in the same arrival order, so WAL sequence numbers always
-// match apply order and recovery replays the exact live history. The
-// s.ingest mutex spans append→apply and is shared with Checkpoint, so a
-// checkpoint can never capture a WAL watermark covering events that have
-// not reached the engines (which recovery would then skip, losing them).
+// Ordering: one leader at a time appends and applies in arrival order, so
+// WAL sequence numbers match apply order and recovery replays the exact
+// live history. s.ingest spans append→apply and is shared with Checkpoint,
+// so a checkpoint never captures a watermark covering unapplied events.
+//
+// Yield: a leader never parks — its client's next request is usually
+// buffered already — so a RESULT/STATS reader waiting on the server lock
+// would keep losing it to the next swap. After a swap that held the lane
+// past yieldAfter the leader yields its processor once, before it hands
+// leadership on, so the woken reader runs ahead of the next leader.
+//
+// Panics: a group or control op that panics unlocks through defer and
+// answers each of its requests with an internal error; the rest of the
+// swap commits and leadership passes on, so the lane cannot wedge. The
+// group's events may already be logged: the panic is a bug, and the
+// process keeps serving, as handleSafe does for any command.
 
 // commitReq is one producer's pending contribution to a commit group, or —
 // when ctrl is set — a control operation (query registration swap,
@@ -39,33 +54,38 @@ type commitReq struct {
 	// producer before it queued the request; empty without a WAL.
 	enc  []byte
 	ctrl func() error
-	err  error // per-request apply verdict, set by the committer
-	// done carries the committer's reply; 1-buffered, so a session reuses
-	// one request (and channel) for every delta command it serves.
+	err  error // per-request apply verdict, set and cleared by the leader
+	// done carries the request's verdict, or errLead when leadership passes
+	// to it; 1-buffered, so a session reuses one request (and channel) for
+	// every delta command it serves.
 	done chan error
 }
 
-// committer serializes ingest into coalesced commit groups.
+// errLead, sent on a queued request's done channel, makes its producer the
+// next leader; it never reaches a client.
+var errLead = errors.New("lead the commit lane")
+
+const yieldAfter = 50 * time.Microsecond // see "Yield" above
+
+// committer is the commit lane's state; the zero value is an idle lane.
 type committer struct {
 	mu      sync.Mutex
 	pending []*commitReq
 	// pendingEvents counts the events (not requests) queued for the next
-	// group — the admission-control gauge MaxPending compares against.
+	// swap — the admission-control gauge MaxPending compares against.
 	pendingEvents int
-	wake          chan struct{} // 1-buffered; a wake may cover many requests
-	stop          chan struct{}
-	stopOnce      sync.Once
-	done          chan struct{}
-	// Owned by the commit loop: the emptied request list that becomes
-	// pending at the next swap, and the per-group list of encode buffers.
+	leading       bool // a producer is committing; the queue waits for it
+	// Owned by the leader: the emptied request list that becomes pending at
+	// the next swap, and the per-group list of encode buffers.
 	spare []*commitReq
 	encs  [][]byte
+	stats *metrics.WALStats // nil without a WAL or metrics
 }
 
 // OverloadedError reports a shed request: admission control refused it
-// because the committer's pending backlog was over the configured budget.
-// RetryAfter is a pacing hint — the EMA of recent group-commit durations,
-// roughly one drain cycle.
+// because the commit lane's pending backlog was over the configured budget.
+// RetryAfter is a pacing hint — the EMA of recent swap durations, roughly
+// one drain cycle.
 type OverloadedError struct {
 	PendingEvents int
 	Limit         int
@@ -77,46 +97,20 @@ func (e *OverloadedError) Error() string {
 		e.PendingEvents, e.Limit, e.RetryAfter.Milliseconds())
 }
 
-func newCommitter() *committer {
-	return &committer{
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-}
-
-// startCommitter launches the commit loop; called once construction cannot
-// fail anymore, so Close always finds a committer to stop.
-func (s *Server) startCommitter() {
-	s.com = newCommitter()
-	go s.runCommitter()
-}
-
-// stopCommitter drains outstanding requests and stops the loop; it is
-// idempotent. Callers must first guarantee no new commit() calls (Close
-// drains connections before stopping).
-func (s *Server) stopCommitter() {
-	if s.com == nil {
-		return
-	}
-	s.com.stopOnce.Do(func() { close(s.com.stop) })
-	<-s.com.done
-}
-
-// commit hands the session's request — evs, parsed into the request's slab
-// — to the committer and blocks until the group containing it is durable
+// commit queues the session's request — evs, parsed into the request's slab
+// — on the commit lane and returns once the group containing it is durable
 // and applied. This is the only ingest path. The log records are encoded
 // here, on the connection's goroutine while the values are still in cache,
 // into the session's own buffer: connections encode in parallel, and the
-// committer's serial section is left with numbering, checksumming and
-// writing them.
+// leader's serial section is left with numbering, checksumming and writing
+// them.
 //
 // Admission control: with MaxPending set, a request that would push the
 // queued backlog past the budget is shed with an OverloadedError instead
 // of enqueued — the producer gets a structured rejection and a retry hint
-// while the committer drains. A request arriving at an empty backlog is
-// always admitted, even if it alone exceeds the budget: rejecting it could
-// never succeed on retry.
+// while the leader drains. A shed request is never queued, so it never
+// leads. A request arriving at an empty backlog is always admitted, even if
+// it alone exceeds the budget: rejecting it could never succeed on retry.
 func (ss *session) commit(evs []stream.Event) error {
 	ss.evs = evs // keep the grown slice for the next request
 	if len(evs) == 0 {
@@ -130,10 +124,11 @@ func (ss *session) commit(evs []stream.Event) error {
 			req.enc = wal.AppendEventRecord(req.enc, ev.Relation, ev.Op == stream.Insert, ev.Args)
 		}
 	}
-	s.com.mu.Lock()
-	if s.maxPending > 0 && s.com.pendingEvents > 0 && s.com.pendingEvents+len(evs) > s.maxPending {
-		pending := s.com.pendingEvents
-		s.com.mu.Unlock()
+	c := &s.com
+	c.mu.Lock()
+	if s.maxPending > 0 && c.pendingEvents > 0 && c.pendingEvents+len(evs) > s.maxPending {
+		pending := c.pendingEvents
+		c.mu.Unlock()
 		if s.sink != nil {
 			rs := s.sink.Robust()
 			rs.ShedRequests.Inc()
@@ -141,66 +136,85 @@ func (ss *session) commit(evs []stream.Event) error {
 		}
 		return &OverloadedError{PendingEvents: pending, Limit: s.maxPending, RetryAfter: s.retryAfter()}
 	}
-	s.com.pending = append(s.com.pending, req)
-	s.com.pendingEvents += len(evs)
-	s.com.mu.Unlock()
-	select {
-	case s.com.wake <- struct{}{}:
-	default:
+	c.pendingEvents += len(evs)
+	return s.submit(req)
+}
+
+// control runs op at a definite point in the ingest order (see commitReq).
+// Construction uses it too, to install "main": it finds the lane idle and
+// leads.
+func (s *Server) control(op func() error) error {
+	s.com.mu.Lock()
+	return s.submit(&commitReq{ctrl: op, done: make(chan error, 1)})
+}
+
+// submit queues req (s.com.mu held on entry) and returns its verdict. If a
+// leader is active, the producer waits for its verdict or for leadership;
+// leading is one swap, then leadership passes on or the lane goes idle.
+func (s *Server) submit(req *commitReq) error {
+	c := &s.com
+	c.pending = append(c.pending, req)
+	if c.leading {
+		c.mu.Unlock()
+		if err := <-req.done; err != errLead {
+			return err
+		}
+		c.mu.Lock()
+	}
+	c.leading = true
+	all := c.pending
+	c.pending, c.pendingEvents = c.spare, 0
+	c.mu.Unlock()
+
+	start := time.Now()
+	s.commitSwap(all)
+	held := time.Since(start)
+	s.noteGroupDuration(held)
+	// The two request lists alternate, so steady-state grouping allocates
+	// nothing; cleared, so an answered request is not kept reachable.
+	clear(all)
+
+	c.mu.Lock()
+	c.spare = all[:0]
+	var next *commitReq
+	if len(c.pending) > 0 {
+		next = c.pending[0]
+	} else {
+		c.leading = false
+	}
+	c.mu.Unlock()
+	if held > yieldAfter {
+		runtime.Gosched()
+		if c.stats != nil {
+			c.stats.LeaderYields.Inc()
+		}
+	}
+	if next != nil {
+		next.done <- errLead
+		if c.stats != nil {
+			c.stats.LeaderHandoffs.Inc()
+		}
 	}
 	return <-req.done
 }
 
-func (s *Server) runCommitter() {
-	defer close(s.com.done)
-	for {
-		select {
-		case <-s.com.wake:
-			s.commitPending()
-		case <-s.com.stop:
-			s.commitPending() // requests enqueued before the stop still ack
-			return
+// commitSwap commits one swapped-out queue. Control operations split it:
+// events before a control op commit as their own group first, then the op
+// runs alone, then the remainder — arrival order is the ingest order either
+// side of the op.
+func (s *Server) commitSwap(all []*commitReq) {
+	for len(all) > 0 {
+		if all[0].ctrl != nil {
+			s.runCtrl(all[0])
+			all = all[1:]
+			continue
 		}
-	}
-}
-
-// commitPending repeatedly swaps out the pending slice and commits it as
-// one group, until no requests remain. Requests arriving mid-group land in
-// the next swap — that accumulation window is what coalesces concurrent
-// producers. Control operations split the swapped slice: events before a
-// control op commit as their own group first, then the op runs alone, then
-// the remainder — arrival order is the ingest order either side of the op.
-func (s *Server) commitPending() {
-	for {
-		s.com.mu.Lock()
-		all := s.com.pending
-		s.com.pending = s.com.spare
-		s.com.pendingEvents = 0
-		s.com.mu.Unlock()
-		for group := all; len(group) > 0; {
-			cut := len(group)
-			for i, req := range group {
-				if req.ctrl != nil {
-					cut = i
-					break
-				}
-			}
-			if cut > 0 {
-				s.commitGroup(group[:cut])
-				group = group[cut:]
-				continue
-			}
-			s.runCtrl(group[0])
-			group = group[1:]
+		cut := 1
+		for cut < len(all) && all[cut].ctrl == nil {
+			cut++
 		}
-		// The two request lists alternate, so steady-state grouping
-		// allocates nothing; cleared, so an answered request is not kept
-		// reachable from here.
-		clear(all)
-		s.com.spare = all[:0]
-		if len(all) == 0 {
-			return
-		}
+		s.commitGroup(all[:cut])
+		all = all[cut:]
 	}
 }
 
@@ -208,34 +222,18 @@ func (s *Server) commitPending() {
 // commit group (ingest, then the server lock), so it observes every prior
 // event applied and no later event started.
 func (s *Server) runCtrl(req *commitReq) {
+	var err error
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("internal error: %v", r)
+		}
+		req.done <- err
+	}()
 	s.ingest.Lock()
+	defer s.ingest.Unlock()
 	s.mu.Lock()
-	err := req.ctrl()
-	s.mu.Unlock()
-	s.ingest.Unlock()
-	req.done <- err
-}
-
-// control runs op at a definite point in the ingest order (see commitReq).
-// Before the committer starts — construction and recovery are
-// single-threaded — it runs op inline under the same locks.
-func (s *Server) control(op func() error) error {
-	if s.com == nil {
-		s.ingest.Lock()
-		defer s.ingest.Unlock()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return op()
-	}
-	req := &commitReq{ctrl: op, done: make(chan error, 1)}
-	s.com.mu.Lock()
-	s.com.pending = append(s.com.pending, req)
-	s.com.mu.Unlock()
-	select {
-	case s.com.wake <- struct{}{}:
-	default:
-	}
-	return <-req.done
+	defer s.mu.Unlock()
+	err = req.ctrl()
 }
 
 // commitGroup makes one group durable and applies it: a single WAL batch
@@ -244,33 +242,43 @@ func (s *Server) control(op func() error) error {
 // sees an event), then per-request engine application under the server
 // lock. Engine rejections are per-request: a logged-but-rejected event
 // replays to the same rejection during recovery, so recovered state still
-// matches live state.
+// matches live state. Every request is answered after both locks are
+// released: its own rejection if it had one, else the group's error.
 func (s *Server) commitGroup(group []*commitReq) {
-	start := time.Now()
-	defer func() { s.noteGroupDuration(time.Since(start)) }()
+	var err error
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("internal error: %v", r)
+		}
+		for _, req := range group {
+			verdict := req.err
+			if verdict == nil {
+				verdict = err
+			}
+			req.err = nil
+			req.done <- verdict
+		}
+	}()
 	s.ingest.Lock()
+	defer s.ingest.Unlock()
 	if s.wal != nil {
 		encs := s.com.encs[:0]
 		for _, req := range group {
 			encs = append(encs, req.enc)
 		}
 		s.com.encs = encs
-		if _, err := s.wal.AppendEncoded(encs); err != nil {
-			s.ingest.Unlock()
-			werr := fmt.Errorf("wal append: %w", err)
-			for _, req := range group {
-				req.done <- werr
-			}
+		if _, werr := s.wal.AppendEncoded(encs); werr != nil {
+			err = fmt.Errorf("wal append: %w", werr)
 			return
 		}
-		if s.sink != nil {
-			ws := s.sink.WAL()
+		if ws := s.com.stats; ws != nil {
 			ws.GroupCommits.Inc()
 			ws.GroupSize.Observe(int64(len(group)))
 		}
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	applied := 0
 	for _, req := range group {
 		req.err = s.reg.OnEventBatch(req.evs)
@@ -279,20 +287,10 @@ func (s *Server) commitGroup(group []*commitReq) {
 			applied += len(req.evs)
 		}
 	}
-	ckErr := s.maybeCheckpointLocked(applied)
-	s.mu.Unlock()
-	s.ingest.Unlock()
-
-	for _, req := range group {
-		err := req.err
-		if err == nil {
-			err = ckErr
-		}
-		req.done <- err
-	}
+	err = s.maybeCheckpointLocked(applied)
 }
 
-// noteGroupDuration folds one group's wall-clock cost into the EMA behind
+// noteGroupDuration folds one swap's wall-clock cost into the EMA behind
 // the overload retry hint (weight 1/8, cheap and lock-free).
 func (s *Server) noteGroupDuration(d time.Duration) {
 	prev := s.emaGroupNs.Load()
@@ -303,7 +301,7 @@ func (s *Server) noteGroupDuration(d time.Duration) {
 	s.emaGroupNs.Store(prev - prev/8 + int64(d)/8)
 }
 
-// retryAfter is the pacing hint attached to shed requests: about one group
+// retryAfter is the pacing hint attached to shed requests: about one swap
 // drain, never less than a millisecond.
 func (s *Server) retryAfter() time.Duration {
 	d := time.Duration(s.emaGroupNs.Load())

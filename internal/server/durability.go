@@ -506,7 +506,7 @@ func (s *Server) checkpointLocked() (gen, watermark uint64, err error) {
 
 // Checkpoint captures all query state through the current WAL watermark
 // and rotates the log. Exposed over the protocol as CHECKPOINT. It takes
-// the ingest lock before the server lock (the order the committer uses):
+// the ingest lock before the server lock (the order the commit lane uses):
 // a commit group's WAL append and engine application are atomic with
 // respect to the checkpoint, so the captured watermark never covers
 // events the engines have not applied — recovery would skip those

@@ -3,7 +3,7 @@
 // standing query and read the maintained views (the paper's "standalone
 // query processor accepting input over a network interface"). One compiled
 // engine serves all connections; events from concurrent clients are
-// serialized through a group-commit stage (see commit.go) that coalesces
+// serialized through one commit lane (see commit.go) whose leader coalesces
 // concurrent WAL appends into one write per group while preserving the
 // single-stream execution model — engines always apply in WAL sequence
 // order.
@@ -117,7 +117,7 @@ type Options struct {
 	// IdleTimeout closes a connection whose next command does not arrive
 	// within it (0 = never). The final line is "ERR idle timeout ...".
 	IdleTimeout time.Duration
-	// MaxPending bounds the group committer's admission backlog in events
+	// MaxPending bounds the commit lane's admission backlog in events
 	// (0 = unbounded). Requests past the budget are shed with an
 	// OverloadedError carrying a retry hint instead of queueing without
 	// bound; see commit.go.
@@ -142,12 +142,12 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// ingest orders WAL appends against engine application and
-	// checkpoints: the committer holds it across append→apply, and
-	// Checkpoint acquires it (before mu — that order everywhere) so a
+	// checkpoints: the commit lane's leader holds it across append→apply,
+	// and Checkpoint acquires it (before mu — that order everywhere) so a
 	// checkpoint watermark can never cover unapplied events. com is the
-	// group-commit stage all ingest flows through; see commit.go.
+	// commit lane all ingest flows through; see commit.go.
 	ingest sync.Mutex
-	com    *committer
+	com    committer
 
 	// Overload protection (see commit.go for shedding, Listen/serve for
 	// the connection-level guards).
@@ -212,6 +212,7 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 		wopts := wal.Options{Sync: opts.WALSync}
 		if s.sink != nil {
 			wopts.Stats = s.sink.WAL()
+			s.com.stats = wopts.Stats
 		}
 		m, err := wal.Open(opts.WALDir, wopts)
 		if err != nil {
@@ -247,8 +248,6 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 				"rejected", s.replayErrs, "seconds", info.Elapsed.Seconds())
 		}
 	}
-	// Construction can no longer fail; start the group-commit stage.
-	s.startCommitter()
 	return s, nil
 }
 
@@ -269,11 +268,11 @@ func closeEngine(eng engine.Engine) {
 }
 
 // onQuarantine is the registry's durability hook for fan-out demotions. It
-// runs under the registry lock inside the committer's append→apply critical
-// section, so the RecQuarantine record lands at the exact ingest position
-// where the breach was detected; recovery replays it there. Returns the
-// query's last-good WAL sequence (the record just applied — the breach was
-// detected after the event committed).
+// runs under the registry lock inside the commit lane's append→apply
+// critical section, so the RecQuarantine record lands at the exact ingest
+// position where the breach was detected; recovery replays it there.
+// Returns the query's last-good WAL sequence (the record just applied — the
+// breach was detected after the event committed).
 func (s *Server) onQuarantine(name, reason string) uint64 {
 	var lastGood uint64
 	if s.wal != nil {
@@ -347,11 +346,13 @@ func (s *Server) install(name, sqlText string) error {
 		s.sink.Query(name).CompileNs.Set(int64(time.Since(start)))
 	}
 
-	live := s.com != nil && s.wal != nil
+	// "main" is installed before the WAL opens, so an install that finds a
+	// WAL is serving: it registers against live ingest and catches up.
+	serving := s.wal != nil
 	var cu *catchUp
-	if live {
+	if serving {
 		// Catch up outside the ingest path: replay the retained history
-		// into the private engine while the committer keeps accepting
+		// into the private engine while the commit lane keeps accepting
 		// deltas. The pin holds checkpoint pruning off so no segment
 		// disappears mid-read.
 		release := s.wal.Pin()
@@ -381,7 +382,7 @@ func (s *Server) install(name, sqlText string) error {
 	var fromSeq, drainBytes uint64
 	var drain time.Duration
 	err = s.control(func() error {
-		if live {
+		if serving {
 			// Final drain: the log is static under the control lane, so one
 			// more advance closes the gap between catch-up and the swap. It
 			// reads from the cursor, not from the start of the log: what
@@ -413,7 +414,7 @@ func (s *Server) install(name, sqlText string) error {
 		closeEngine(tmp)
 		return err
 	}
-	if live {
+	if serving {
 		slog.Info("registration caught up", "query", name, "from_seq", fromSeq,
 			"records", cu.records, "bytes", cu.bytes, "passes", cu.passes, "rejected", cu.rejected,
 			"seconds", time.Since(start).Seconds(),
@@ -489,15 +490,14 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener, waits for connections to drain, stops the
-// group-commit stage, and shuts down any engines with worker goroutines.
+// Close stops the listener, waits for connections to drain (the commit
+// lane has no goroutine to stop), and shuts down engines with workers.
 func (s *Server) Close() error {
 	var err error
 	if s.ln != nil {
 		err = s.ln.Close()
 	}
 	s.wg.Wait()
-	s.stopCommitter()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, name := range s.reg.Names() {
@@ -687,7 +687,7 @@ func (ss *session) handleBatch(sc *bufio.Scanner, w *bufio.Writer, arg []byte) (
 
 // resultOf assembles a query's current answer ("" = the oldest registered)
 // under the server lock — single-threaded engines must not be read while
-// the committer applies events.
+// a commit group applies events.
 func (s *Server) resultOf(name string) (*engine.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

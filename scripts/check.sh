@@ -36,8 +36,19 @@ bash scripts/crash_smoke.sh
 # commit coalescing run multi-core even when the default would be 1.
 echo "== pipeline smoke (GOMAXPROCS=4) ==" && GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestConcurrentProducers|TestStickyError|TestShardedMatchesSingleThreaded' ./internal/runtime/
-GOMAXPROCS=4 go test -race -count=1 -run 'TestConcurrentBatchesGroupCommitAndRecover' ./internal/server/
 GOMAXPROCS=4 go test -run xxx -bench '^BenchmarkShardScaling/' -benchtime 100x .
+
+# Commit lane smoke: leader commit runs on producers' goroutines, so its
+# contract — exactly-once acks, WAL order = apply order across REGISTER/
+# UNREGISTER/CHECKPOINT, no goroutine left after Close, a panic that does
+# not wedge the lane, shedding behind a busy leader — and the chaos/overload
+# matrix run under the race detector at one, two and four processors: one
+# processor is where a leader that never parks can starve everyone else.
+for procs in 1 2 4; do
+    echo "== commit lane smoke (GOMAXPROCS=$procs) ==" && GOMAXPROCS=$procs go test -race -count=1 \
+        -run 'TestConcurrentBatchesGroupCommitAndRecover|TestCommitLane|TestServerChaosMatrix|TestServerOverloadShedding|TestServerGracefulShutdownUnderLoad' \
+        ./internal/server/
+done
 
 # Registry smoke: the dynamic-query lifecycle gates — hot-swap
 # registration against a live producer (differential vs boot-time
@@ -48,7 +59,7 @@ echo "== registry smoke ==" && GOMAXPROCS=4 go test -race -count=1 \
 BENCHTIME=10x SUITE=registry OUT="${TMPDIR:-/tmp}/BENCH_registry_smoke.json" sh scripts/bench.sh >/dev/null
 
 # Replay smoke: replay is live ingest fed from disk, and a catch-up reads
-# the log while the committer appends to it — so the differential property
+# the log while the commit lane appends to it — so the differential property
 # test (batched streaming replay vs the record-at-a-time loop, on the
 # Toaster, sharded and native engines, with a writer appending during the
 # passes), the cursor and read-volume gates, and the crash-recovery fault
@@ -75,15 +86,13 @@ echo "== qgen fuzz smoke ==" && go test ./internal/qgen/ -run xxx -fuzz FuzzQuer
 # every access path.
 echo "== map store fuzz smoke ==" && go test ./internal/runtime/ -run xxx -fuzz FuzzMapIndexModel -fuzztime 10s
 
-# Failure isolation: the chaos matrix (quota breacher + panicker + native
-# child kill alongside a healthy tenant, bitwise-compared to a fault-free
-# twin), the overload/connection guards, then the end-to-end smoke driving
+# Failure isolation: the engine-level quarantine tests (the server's chaos
+# matrix and overload guards run in the commit lane smoke), then the
+# end-to-end smoke driving
 # a stock dbtserver binary through quarantine, kill -9 recovery, revive,
 # and native child supervision. A short fuzz pass keeps the command loop
 # honest against arbitrary input.
-echo "== chaos / overload smoke ==" && GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestServerChaosMatrix|TestServerOverloadShedding|TestServerGracefulShutdownUnderLoad|TestQuarantine' \
-    ./internal/server/ ./internal/engine/
+echo "== chaos / overload smoke ==" && GOMAXPROCS=4 go test -race -count=1 -run 'TestQuarantine' ./internal/engine/
 bash scripts/chaos_smoke.sh
 echo "== server fuzz smoke ==" && go test ./internal/server/ -run xxx -fuzz FuzzServerCommand -fuzztime 10s
 go test ./internal/server/ -run xxx -fuzz FuzzDeltaCodec -fuzztime 10s
