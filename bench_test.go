@@ -14,7 +14,6 @@ package dbtoaster_test
 
 import (
 	"fmt"
-	"os/exec"
 	stdruntime "runtime"
 	"testing"
 
@@ -23,7 +22,6 @@ import (
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/metrics"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/orderbook"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
@@ -143,65 +141,6 @@ func BenchmarkWarehouseSSB11(b *testing.B) {
 
 func BenchmarkWarehouseLoadMonitor(b *testing.B) {
 	benchBakeoff(b, tpch.QueryLoadMonitor, tpch.Catalog(), warehouseEvents(b))
-}
-
-// --- Native generated-code engine vs compiled closures ---
-
-// BenchmarkNativeVsClosure measures per-event latency of the
-// dbtoaster-native engine (generated Go driven over the subprocess
-// protocol) against the in-process compiled-closure engine on the same
-// workloads. The first native run of each query pays one `go build`
-// outside the timed region; later runs hit the on-disk build cache. The
-// native loop ends with a Flush inside the timed region so the child's
-// pipelined backlog is charged to the measurement.
-func BenchmarkNativeVsClosure(b *testing.B) {
-	if _, err := exec.LookPath("go"); err != nil {
-		b.Skip("go toolchain unavailable")
-	}
-	cases := []struct {
-		name   string
-		sql    string
-		cat    *schema.Catalog
-		events []stream.Event
-	}{
-		{"ssb41", tpch.QuerySSB41, tpch.Catalog(), warehouseEvents(b)},
-		{"ssb11", tpch.QuerySSB11, tpch.Catalog(), warehouseEvents(b)},
-		{"load-monitor", tpch.QueryLoadMonitor, tpch.Catalog(), warehouseEvents(b)},
-		{"broker-avg-price", orderbook.QueryBrokerAvgPrice, orderbook.Catalog(), financialEvents(b)},
-		{"two-sided-volume", orderbook.QueryTwoSidedVolume, orderbook.Catalog(), financialEvents(b)},
-	}
-	for _, tc := range cases {
-		q, err := engine.Prepare(tc.sql, tc.cat)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tc.name+"/dbtoaster", func(b *testing.B) {
-			e, err := engine.NewToaster(q, runtime.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			runStream(b, e, tc.events)
-		})
-		b.Run(tc.name+"/dbtoaster-native", func(b *testing.B) {
-			e, err := engine.NewNativeToaster(q, native.ModeSubprocess)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.OnEvent(tc.events[i%len(tc.events)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := e.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(e.MemEntries()), "entries")
-		})
-	}
 }
 
 // --- The paper's running example (Figure 2 query) ---

@@ -38,8 +38,6 @@ func main() {
 		batch    = flag.Int("batch", 0, "feed engines in OnEventBatch chunks of this size (0 = per-event)")
 		metrics  = flag.String("metrics-out", "", "instrument the dbtoaster contenders and keep writing steady-state metrics snapshots to this JSON file (e.g. BENCH_metrics.json)")
 		walDir   = flag.String("wal-dir", "", "add the dbtoaster-wal contender (compiled engine with write-ahead logging), keeping its scratch logs under this directory")
-		nat      = flag.Bool("native", false, "add the dbtoaster-native contender (generated Go compiled by the toolchain, driven as a subprocess)")
-		natPlug  = flag.Bool("native-plugin", false, "add the dbtoaster-native-plugin contender (generated Go loaded via -buildmode=plugin)")
 	)
 	flag.Parse()
 
@@ -98,12 +96,6 @@ func main() {
 	}
 	if *walDir != "" {
 		engines = append(engines, "dbtoaster-wal")
-	}
-	if *nat {
-		engines = append(engines, "dbtoaster-native")
-	}
-	if *natPlug {
-		engines = append(engines, "dbtoaster-native-plugin")
 	}
 	for _, j := range jobs {
 		rep, err := bakeoff.Run(bakeoff.Config{

@@ -18,7 +18,6 @@ import (
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/metrics"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
@@ -31,7 +30,7 @@ type Config struct {
 	Catalog *schema.Catalog
 	Events  []stream.Event
 	// Engines filters which engines run ("dbtoaster", "dbtoaster-interp",
-	// "dbtoaster-native", "naive-reeval", "first-order-ivm", ...); empty
+	// "naive-reeval", "first-order-ivm", ...); empty
 	// means the standard trio.
 	Engines []string
 	// MaxEventsSlow caps the events fed to the O(n·|D|) baselines so a
@@ -103,13 +102,6 @@ func buildEngine(name string, q *engine.Query, opts runtime.Options) (engine.Eng
 		return engine.NewNaive(q), nil
 	case "first-order-ivm":
 		return engine.NewIVM(q), nil
-	case "dbtoaster-native":
-		// The generated-code path: emit + `go build` + drive the artifact
-		// as a subprocess. First construction per query pays the toolchain;
-		// repeats hit the source-hash build cache.
-		return engine.NewNativeToaster(q, native.ModeSubprocess)
-	case "dbtoaster-native-plugin":
-		return engine.NewNativeToaster(q, native.ModePlugin)
 	default:
 		if rest, ok := strings.CutPrefix(name, "dbtoaster-sharded-"); ok {
 			n, err := strconv.Atoi(rest)

@@ -7,7 +7,8 @@
 // sequences" the paper describes handing to the native compiler.
 //
 // The emitted code reproduces the interpreter's value calculus exactly —
-// the properties the native differential harness pins bitwise:
+// the properties the codegen parity oracle (internal/engine's TestNative*
+// tests, which build and run the generated program) pins bitwise:
 //
 //   - updates drop zero and NaN deltas and delete entries that reach zero,
 //     matching runtime.Map.Add's retention rules;

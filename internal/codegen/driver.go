@@ -1,12 +1,8 @@
-// Driver/shim emission: the second generated file that turns the query
-// state of Generate's output into a runnable artifact. One file serves
-// both execution modes:
-//
-//   - built normally, it is a subprocess whose main() speaks the native
-//     wire protocol over stdin/stdout (see the emitted doc comment and
-//     internal/native for the host side);
-//   - built with -buildmode=plugin, main() never runs and the host drives
-//     the exported Apply/Dump/Load/Reset entry points in-process.
+// Driver emission: the second generated file that turns the query state
+// of Generate's output into a one-shot program. It reads an event stream
+// on stdin and writes a state dump to stdout at every marker — the
+// codegen parity oracle internal/engine's tests build and run against the
+// compiled-closure engine (see the emitted doc comment for the format).
 //
 // Like the query file, the driver depends only on the standard library.
 package codegen
@@ -20,28 +16,26 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// RelSpec describes one relation of the driver's dispatch table: its wire
-// index, the per-column kinds events are encoded with, and the admission
-// checks the host applies before encoding (KindNull = unchecked, exactly
-// the interpreter's paramCheck set).
+// RelSpec describes one relation of the driver's dispatch table: its
+// name, the per-column kinds events are encoded with, and which trigger
+// directions exist.
 type RelSpec struct {
 	Name      string
 	Kinds     []types.Kind
-	Checks    []types.Kind
 	HasInsert bool
 	HasDelete bool
 }
 
-// MapSpec describes one view map of the dump/load wire layout, in
-// prog.MapOrder. KeyKinds is empty for a zero-arity (scalar) map.
+// MapSpec describes one view map of the dump layout, in prog.MapOrder.
+// KeyKinds is empty for a zero-arity (scalar) map.
 type MapSpec struct {
 	Name     string
 	KeyKinds []types.Kind
 }
 
-// Spec is the wire contract between the host and a generated driver. Both
-// sides derive it from the same annotated program, so indices, kinds, and
-// map order agree by construction.
+// Spec is the wire contract between a generated driver and whoever feeds
+// it. Both sides derive it from the same annotated program, so indices,
+// kinds, and map order agree by construction.
 type Spec struct {
 	Rels []RelSpec
 	Maps []MapSpec
@@ -75,23 +69,21 @@ func ProgramSpec(prog *ir.Program, cat *schema.Catalog) (*Spec, error) {
 			return nil, fmt.Errorf("codegen: unknown relation %s", t.Relation)
 		}
 		kinds := make([]types.Kind, len(t.Params))
-		checks := make([]types.Kind, len(t.Params))
 		for i := range t.Params {
 			kinds[i] = rel.Columns[i].Type
 			if i < len(t.ParamKinds) && t.ParamKinds[i] != types.KindNull {
 				kinds[i] = t.ParamKinds[i]
-				checks[i] = t.ParamKinds[i]
 			}
 		}
 		idx, seen := index[rel.Name]
 		if !seen {
 			idx = len(spec.Rels)
 			index[rel.Name] = idx
-			spec.Rels = append(spec.Rels, RelSpec{Name: rel.Name, Kinds: kinds, Checks: checks})
+			spec.Rels = append(spec.Rels, RelSpec{Name: rel.Name, Kinds: kinds})
 		} else {
 			prev := spec.Rels[idx]
 			for i := range kinds {
-				if i >= len(prev.Kinds) || prev.Kinds[i] != kinds[i] || prev.Checks[i] != checks[i] {
+				if i >= len(prev.Kinds) || prev.Kinds[i] != kinds[i] {
 					return nil, fmt.Errorf("codegen: triggers of %s disagree on parameter kinds", rel.Name)
 				}
 			}
@@ -108,80 +100,47 @@ func ProgramSpec(prog *ir.Program, cat *schema.Catalog) (*Spec, error) {
 	return spec, nil
 }
 
-// driverStatic is the mode-independent part of every emitted driver: the
-// protocol loop, framing, and the scalar wire codecs. Kept as one literal
-// so the emitted file reads as ordinary hand-written Go.
-const driverStatic = `// state is the process-wide query state both execution modes drive.
+// driverStatic is the query-independent part of every emitted driver: the
+// stream loop and the scalar wire codecs. Kept as one literal so the
+// emitted file reads as ordinary hand-written Go.
+const driverStatic = `// state is the query state the event stream drives.
 var state = NewState()
 
-// Reset discards all state (plugin entry point; Load rebuilds entries).
-func Reset() { state = NewState() }
-
-// main speaks the native wire protocol: length-prefixed frames on
-// stdin/stdout, integers little-endian. Host→child opcodes: 'B' event
-// batch (u32 count, then per event u8 insert flag, u8 relation index,
-// then the relation's columns in wire form), 'S' state dump request,
-// 'R' state replace (the dump body layout), 'Q' quit. Child→host: 'D'
-// dump reply, 'K' replace ack, 'E' error (then exit 1). Batches are not
-// acknowledged — the host pipelines them and syncs at the next 'S'/'R'
-// barrier. Wire forms: int64 and float64 are 8 bytes, strings u32
-// length + bytes, bools one byte.
+// main applies the event stream on stdin and writes a state dump to stdout
+// at every marker. Records: 'I' insert or 'D' delete, then a u8 relation
+// index and the relation's columns in wire form; 'S' dump marker. A dump
+// is, per map in declaration order, a u64 entry count, then per entry the
+// key fields in wire form and a float64 value. Wire forms are
+// little-endian: int64 and float64 8 bytes, strings u32 length + bytes,
+// bools one byte. A malformed stream exits 1 with the reason on stderr.
 func main() {
-	in := bufio.NewReaderSize(os.Stdin, 1<<16)
-	out := bufio.NewWriterSize(os.Stdout, 1<<16)
-	var hdr [4]byte
-	var buf []byte
-	for {
-		if _, err := io.ReadFull(in, hdr[:]); err != nil {
-			if err == io.EOF {
-				return
-			}
-			die(out, "read frame: "+err.Error())
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(in, buf); err != nil {
-			die(out, "read frame body: "+err.Error())
-		}
-		if n == 0 {
-			die(out, "empty frame")
-		}
-		switch buf[0] {
-		case 'B':
-			if err := applyBatch(buf[1:]); err != nil {
-				die(out, "batch: "+err.Error())
+	in, err := io.ReadAll(os.Stdin)
+	if err != nil {
+		die(err)
+	}
+	var out []byte
+	for off := 0; off < len(in); {
+		op := in[off]
+		off++
+		switch op {
+		case 'I', 'D':
+			if err := apply(in, &off, op == 'I'); err != nil {
+				die(err)
 			}
 		case 'S':
-			reply(out, dumpBody([]byte{'D'}))
-		case 'R':
-			if err := loadState(buf[1:]); err != nil {
-				die(out, "load: "+err.Error())
-			}
-			reply(out, []byte{'K'})
-		case 'Q':
-			out.Flush()
-			return
+			out = dump(out)
 		default:
-			die(out, fmt.Sprintf("unknown opcode %q", buf[0]))
+			die(fmt.Errorf("unknown record %q", op))
 		}
+	}
+	if _, err := os.Stdout.Write(out); err != nil {
+		die(err)
 	}
 }
 
-// reply writes one framed payload and flushes (every reply is a barrier).
-func reply(out *bufio.Writer, payload []byte) {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	out.Write(hdr[:])
-	out.Write(payload)
-	out.Flush()
-}
-
-// die reports a protocol error and exits; the host surfaces the message.
-func die(out *bufio.Writer, msg string) {
-	reply(out, append([]byte{'E'}, msg...))
+// die reports err on stderr and exits 1.
+func die(err error) {
+	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }
 
@@ -199,15 +158,6 @@ func readF64(p []byte, off *int) (float64, error) {
 		return 0, errTruncated
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(p[*off:]))
-	*off += 8
-	return v, nil
-}
-
-func readU64(p []byte, off *int) (uint64, error) {
-	if *off+8 > len(p) {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint64(p[*off:])
 	*off += 8
 	return v, nil
 }
@@ -235,7 +185,7 @@ func readBool(p []byte, off *int) (bool, error) {
 	return v, nil
 }
 
-var errTruncated = errors.New("truncated frame")
+var errTruncated = errors.New("truncated record")
 
 func putU64(b []byte, v uint64) []byte {
 	var w [8]byte
@@ -260,12 +210,10 @@ func putBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-var _, _, _, _, _, _, _, _, _, _ = readI64, readF64, readU64, readStr, readBool, putU64, putI64, putF64, putStr, putBool
-
 `
 
-// GenerateDriver renders the driver/shim for prog as a second file of the
-// same package main that Generate(prog, cat, "main") produces.
+// GenerateDriver renders the driver for prog as a second file of the same
+// package main that Generate(prog, cat, "main") produces.
 func GenerateDriver(prog *ir.Program, cat *schema.Catalog) (string, error) {
 	spec, err := ProgramSpec(prog, cat)
 	if err != nil {
@@ -273,14 +221,12 @@ func GenerateDriver(prog *ir.Program, cat *schema.Catalog) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Code generated by dbtoaster for query %s; DO NOT EDIT.\n", prog.QueryName)
-	fmt.Fprintf(&b, "//\n// Driver shim: subprocess protocol loop and plugin entry points.\n")
+	fmt.Fprintf(&b, "//\n// Driver: applies an event stream and dumps the state at each marker.\n")
 	fmt.Fprintf(&b, "package main\n\n")
-	fmt.Fprintf(&b, "import (\n\t\"bufio\"\n\t\"encoding/binary\"\n\t\"errors\"\n\t\"fmt\"\n\t\"io\"\n\t\"math\"\n\t\"os\"\n)\n\n")
+	fmt.Fprintf(&b, "import (\n\t\"encoding/binary\"\n\t\"errors\"\n\t\"fmt\"\n\t\"io\"\n\t\"math\"\n\t\"os\"\n)\n\n")
 	b.WriteString(driverStatic)
 	emitApply(&b, spec)
-	emitApplyBatch(&b, spec)
 	emitDump(&b, spec)
-	emitLoad(&b, spec)
 	return b.String(), nil
 }
 
@@ -304,58 +250,32 @@ func handlerCall(r RelSpec, insert bool, vars []string) string {
 	return fmt.Sprintf("state.On%s%s(%s)", op, ident(r.Name), strings.Join(vars, ", "))
 }
 
-// emitApply renders the plugin entry point: boxed single-event dispatch.
+// emitApply renders the event decoder: typed, offset-based decoding of
+// one record straight into the trigger handlers, no boxing.
 func emitApply(b *strings.Builder, spec *Spec) {
-	fmt.Fprintf(b, "// Apply dispatches one event (plugin entry point). Argument kinds must\n")
-	fmt.Fprintf(b, "// match the relation's wire contract; the host validates at admission.\nfunc Apply(rel int, insert bool, args []interface{}) error {\n\tswitch rel {\n")
+	fmt.Fprintf(b, "// apply decodes one event record after its op byte and runs the trigger.\nfunc apply(p []byte, off *int, ins bool) error {\n")
+	fmt.Fprintf(b, "\tif *off >= len(p) {\n\t\treturn errTruncated\n\t}\n")
+	fmt.Fprintf(b, "\trel := p[*off]\n\t*off++\n")
+	fmt.Fprintf(b, "\tswitch rel {\n")
 	for i, r := range spec.Rels {
 		fmt.Fprintf(b, "\tcase %d: // %s\n", i, r.Name)
-		fmt.Fprintf(b, "\t\tif len(args) != %d {\n\t\t\treturn fmt.Errorf(\"%s expects %d args, got %%d\", len(args))\n\t\t}\n", len(r.Kinds), r.Name, len(r.Kinds))
-		vars := make([]string, len(r.Kinds))
-		for j, k := range r.Kinds {
-			vars[j] = fmt.Sprintf("args[%d].(%s)", j, goType(k))
-		}
-		fmt.Fprintf(b, "\t\tif insert {\n\t\t\t%s\n\t\t} else {\n\t\t\t%s\n\t\t}\n\t\treturn nil\n",
-			handlerCall(r, true, vars), handlerCall(r, false, vars))
-	}
-	fmt.Fprintf(b, "\t}\n\treturn fmt.Errorf(\"unknown relation index %%d\", rel)\n}\n\n")
-}
-
-// emitApplyBatch renders the subprocess batch decoder: typed, offset-based
-// decoding straight into the trigger handlers, no boxing on the hot path.
-func emitApplyBatch(b *strings.Builder, spec *Spec) {
-	fmt.Fprintf(b, "// applyBatch decodes and applies one 'B' payload.\nfunc applyBatch(p []byte) error {\n")
-	fmt.Fprintf(b, "\tif len(p) < 4 {\n\t\treturn errTruncated\n\t}\n")
-	fmt.Fprintf(b, "\tn := binary.LittleEndian.Uint32(p)\n\toff := 4\n")
-	fmt.Fprintf(b, "\tfor i := uint32(0); i < n; i++ {\n")
-	fmt.Fprintf(b, "\t\tif off+2 > len(p) {\n\t\t\treturn errTruncated\n\t\t}\n")
-	fmt.Fprintf(b, "\t\tins := p[off] == 1\n\t\trel := p[off+1]\n\t\toff += 2\n")
-	if len(spec.Rels) == 0 {
-		// A trigger-less program (e.g. a contradictory WHERE) dispatches
-		// nothing; keep the decoded flag referenced so the file compiles.
-		fmt.Fprintf(b, "\t\t_ = ins\n")
-	}
-	fmt.Fprintf(b, "\t\tswitch rel {\n")
-	for i, r := range spec.Rels {
-		fmt.Fprintf(b, "\t\tcase %d: // %s\n", i, r.Name)
 		vars := make([]string, len(r.Kinds))
 		for j, k := range r.Kinds {
 			vars[j] = fmt.Sprintf("v%d", j)
-			fmt.Fprintf(b, "\t\t\t%s, err := %s(p, &off)\n\t\t\tif err != nil {\n\t\t\t\treturn err\n\t\t\t}\n", vars[j], readFn(k))
+			fmt.Fprintf(b, "\t\t%s, err := %s(p, off)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", vars[j], readFn(k))
 		}
-		fmt.Fprintf(b, "\t\t\tif ins {\n\t\t\t\t%s\n\t\t\t} else {\n\t\t\t\t%s\n\t\t\t}\n",
+		fmt.Fprintf(b, "\t\tif ins {\n\t\t\t%s\n\t\t} else {\n\t\t\t%s\n\t\t}\n",
 			handlerCall(r, true, vars), handlerCall(r, false, vars))
 	}
-	fmt.Fprintf(b, "\t\tdefault:\n\t\t\treturn fmt.Errorf(\"unknown relation index %%d\", rel)\n\t\t}\n\t}\n\treturn nil\n}\n\n")
+	fmt.Fprintf(b, "\tdefault:\n\t\treturn fmt.Errorf(\"unknown relation index %%d\", rel)\n\t}\n\treturn nil\n}\n\n")
 }
 
 // emitDump renders the state dump: per map in declaration order, entry
 // count then entries (key fields in wire form, float64 value). A scalar
 // map contributes one entry when non-zero and none otherwise — the same
-// retention the interpreter's zero-arity map exhibits. Dump (the boxed
-// visitor) is the plugin twin of dumpBody.
+// retention the interpreter's zero-arity map exhibits.
 func emitDump(b *strings.Builder, spec *Spec) {
-	fmt.Fprintf(b, "// dumpBody appends the state dump to a reply payload.\nfunc dumpBody(body []byte) []byte {\n")
+	fmt.Fprintf(b, "// dump appends the state dump to body.\nfunc dump(body []byte) []byte {\n")
 	for _, ms := range spec.Maps {
 		n := ident(ms.Name)
 		switch len(ms.KeyKinds) {
@@ -373,76 +293,7 @@ func emitDump(b *strings.Builder, spec *Spec) {
 			fmt.Fprintf(b, "\t\tbody = putF64(body, v)\n\t}\n")
 		}
 	}
-	fmt.Fprintf(b, "\treturn body\n}\n\n")
-
-	fmt.Fprintf(b, "// Dump visits every live entry in map declaration order (plugin entry\n// point).\nfunc Dump(visit func(mapIdx int, key []interface{}, val float64)) {\n")
-	for mi, ms := range spec.Maps {
-		n := ident(ms.Name)
-		switch len(ms.KeyKinds) {
-		case 0:
-			fmt.Fprintf(b, "\tif state.%s != 0 {\n\t\tvisit(%d, nil, state.%s)\n\t}\n", n, mi, n)
-		case 1:
-			fmt.Fprintf(b, "\tfor k, v := range state.%s {\n\t\tvisit(%d, []interface{}{k}, v)\n\t}\n", n, mi)
-		default:
-			fields := make([]string, len(ms.KeyKinds))
-			for i := range ms.KeyKinds {
-				fields[i] = fmt.Sprintf("k.K%d", i)
-			}
-			fmt.Fprintf(b, "\tfor k, v := range state.%s {\n\t\tvisit(%d, []interface{}{%s}, v)\n\t}\n", n, mi, strings.Join(fields, ", "))
-		}
-	}
-	fmt.Fprintf(b, "}\n\n")
-}
-
-// emitLoad renders the restore path: loadState replaces the whole state
-// from an 'R' payload (dump body layout); Load is the boxed per-entry
-// plugin twin, used together with Reset.
-func emitLoad(b *strings.Builder, spec *Spec) {
-	fmt.Fprintf(b, "// loadState replaces state from an 'R' payload.\nfunc loadState(p []byte) error {\n\tns := NewState()\n\toff := 0\n")
-	for mi, ms := range spec.Maps {
-		n := ident(ms.Name)
-		fmt.Fprintf(b, "\tn%d, err := readU64(p, &off)\n\tif err != nil {\n\t\treturn err\n\t}\n", mi)
-		switch len(ms.KeyKinds) {
-		case 0:
-			fmt.Fprintf(b, "\tif n%d > 1 {\n\t\treturn fmt.Errorf(\"scalar map %s has %%d entries\", n%d)\n\t}\n", mi, ms.Name, mi)
-			fmt.Fprintf(b, "\tif n%d == 1 {\n\t\tv, err := readF64(p, &off)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n\t\tns.%s = v\n\t}\n", mi, n)
-		default:
-			fmt.Fprintf(b, "\tfor j := uint64(0); j < n%d; j++ {\n", mi)
-			fields := make([]string, len(ms.KeyKinds))
-			for i, kk := range ms.KeyKinds {
-				fields[i] = fmt.Sprintf("k%d", i)
-				fmt.Fprintf(b, "\t\tk%d, err := %s(p, &off)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", i, readFn(kk))
-			}
-			fmt.Fprintf(b, "\t\tv, err := readF64(p, &off)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n")
-			if len(ms.KeyKinds) == 1 {
-				fmt.Fprintf(b, "\t\tns.%s[k0] = v\n\t}\n", n)
-			} else {
-				fmt.Fprintf(b, "\t\tns.%s[%sKey{%s}] = v\n\t}\n", n, n, strings.Join(fields, ", "))
-			}
-		}
-	}
-	fmt.Fprintf(b, "\tif off != len(p) {\n\t\treturn fmt.Errorf(\"load payload has %%d trailing bytes\", len(p)-off)\n\t}\n")
-	fmt.Fprintf(b, "\tstate = ns\n\treturn nil\n}\n\n")
-
-	fmt.Fprintf(b, "// Load sets one entry verbatim (plugin entry point; Reset first).\nfunc Load(mapIdx int, key []interface{}, val float64) error {\n\tswitch mapIdx {\n")
-	for mi, ms := range spec.Maps {
-		n := ident(ms.Name)
-		fmt.Fprintf(b, "\tcase %d: // %s\n", mi, ms.Name)
-		switch len(ms.KeyKinds) {
-		case 0:
-			fmt.Fprintf(b, "\t\tstate.%s = val\n", n)
-		case 1:
-			fmt.Fprintf(b, "\t\tstate.%s[key[0].(%s)] = val\n", n, goType(ms.KeyKinds[0]))
-		default:
-			fields := make([]string, len(ms.KeyKinds))
-			for i, kk := range ms.KeyKinds {
-				fields[i] = fmt.Sprintf("key[%d].(%s)", i, goType(kk))
-			}
-			fmt.Fprintf(b, "\t\tstate.%s[%sKey{%s}] = val\n", n, n, strings.Join(fields, ", "))
-		}
-		fmt.Fprintf(b, "\t\treturn nil\n")
-	}
-	fmt.Fprintf(b, "\t}\n\treturn fmt.Errorf(\"unknown map index %%d\", mapIdx)\n}\n")
+	fmt.Fprintf(b, "\treturn body\n}\n")
 }
 
 // readFn/putFn name the wire codec for a kind.

@@ -52,8 +52,8 @@ func generateDriver(t *testing.T, src string) (query, driver string) {
 	return query, driver
 }
 
-// driverGoldenQueries pins the emitted driver/shim: the wire protocol
-// loop, the typed batch decoder, and the dump/load/Apply entry points.
+// driverGoldenQueries pins the emitted driver: the stream loop, the typed
+// event decoder, and the state dump.
 // One query exercises a string-keyed group map plus a composite-key
 // auxiliary, the other a scalar result with int keys. Regenerate with
 // `go test ./internal/codegen -run TestGoldenGeneratedDriver -update`.
@@ -140,7 +140,7 @@ func TestGeneratedDriverBuilds(t *testing.T) {
 }
 
 // TestProgramSpec checks the wire contract: relation order, per-column
-// wire kinds, admission checks, and map order.
+// wire kinds, trigger directions, and map order.
 func TestProgramSpec(t *testing.T) {
 	c := compileProgram(t, "select region, sum(amount) from sales group by region")
 	spec, err := ProgramSpec(c.Program, testCatalog())

@@ -13,11 +13,11 @@ import (
 
 // Failure isolation: the fan-out treats each live query as a tenant whose
 // misbehavior — a panicking trigger, a blown size quota, repeated time-
-// budget breaches, a native engine whose restart budget is exhausted —
-// must not disturb the other N−1 tenants. The offending query moves to
-// StateQuarantined: skipped by the fan-out, its engine closed and dropped,
-// its name and reason still listed so operators see what happened, and
-// revivable by a fresh REGISTER (which catches up from the retained WAL).
+// budget breaches — must not disturb the other N−1 tenants. The offending
+// query moves to StateQuarantined: skipped by the fan-out, its engine
+// closed and dropped, its name and reason still listed so operators see
+// what happened, and revivable by a fresh REGISTER (which catches up from
+// the retained WAL).
 //
 // Quarantine is a side effect, not a request failure: by the time the
 // breach is detected the event batch was durably logged and applied by
@@ -71,7 +71,7 @@ func (r *Registry) fanState() (live []*regEntry, quota Quota, enforce, eventMajo
 
 // passState is one engine's outcome over a fan-out pass.
 type passState struct {
-	err     error // first ordinary or fatal engine error
+	err     error // first engine error
 	pval    any   // recovered panic value
 	elapsed time.Duration
 }
@@ -157,8 +157,6 @@ func (r *Registry) fanOut(evs []stream.Event) error {
 			switch {
 			case errors.As(err, &pe):
 				cases = append(cases, quarantineCase{e, fmt.Sprintf("trigger panic: %v", pe.Value), true})
-			case IsFatal(err):
-				cases = append(cases, quarantineCase{e, fmt.Sprintf("engine failure: %v", err), false})
 			default:
 				if firstErr == nil {
 					firstErr = err
@@ -204,9 +202,9 @@ func (r *Registry) fanOut(evs []stream.Event) error {
 // runGuarded applies admitted events to one engine behind a panic backstop,
 // accumulating the outcome in p. The runtime's own containment converts
 // trigger panics to *runtime.PanicError; the recover here catches
-// everything above that layer (sharded dispatch, native wire encoding). A
-// Toaster takes the events as admitted; the other engine kinds keep their
-// own admission, which the admitted tuples pass unchanged.
+// everything above that layer (sharded dispatch). A Toaster takes the
+// events as admitted; the sharded engine keeps its own admission, which
+// the admitted tuples pass unchanged.
 func runGuarded(eng CompiledEngine, evs []stream.Event, timed bool, p *passState) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -230,8 +228,8 @@ func runGuarded(eng CompiledEngine, evs []stream.Event, timed bool, p *passState
 }
 
 // applyQuarantines demotes the collected casualties under the registry
-// lock, then closes their engines outside it (a native engine's Close can
-// block on its child for up to the liveness timeout).
+// lock, then closes their engines outside it (a sharded engine's Close
+// waits for its workers to drain).
 func (r *Registry) applyQuarantines(cases []quarantineCase) {
 	var closed []CompiledEngine
 	r.mu.Lock()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -46,29 +45,11 @@ func (e *QuotaExceededError) Error() string {
 	return fmt.Sprintf("quota exceeded: query %q %s %d over limit %d", e.Query, e.Resource, e.Actual, e.Limit)
 }
 
-// fatalError marks errors after which an engine's state can no longer be
-// trusted (a torn map, an exhausted restart budget). The registry
-// quarantines the engine instead of reporting the error to the producer —
-// the event was durably logged and applied by every healthy engine.
-type fatalError interface{ Fatal() bool }
-
-// IsFatal walks err's Unwrap chain for a fatal marker.
-func IsFatal(err error) bool {
-	for err != nil {
-		if f, ok := err.(fatalError); ok && f.Fatal() {
-			return true
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
-}
-
 // footprinter is the cheap cost-accounting surface: engines that can count
 // owned entries/bytes without allocating implement it (Toaster via the
-// runtime; NativeToaster via its shadow, so native enforcement lags to the
-// last sync barrier). Engines without it — the sharded runtime, whose
-// entry count requires a cross-worker quiesce — are exempt from size
-// quotas rather than paying a flush barrier per event.
+// runtime). Engines without it — the sharded runtime, whose entry count
+// requires a cross-worker quiesce — are exempt from size quotas rather
+// than paying a flush barrier per event.
 type footprinter interface{ OwnedFootprint() (int, uint64) }
 
 func footprintOf(eng Engine) (entries int, bytes uint64, ok bool) {

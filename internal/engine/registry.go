@@ -95,7 +95,7 @@ const (
 	StateLive
 	StateDraining
 	// StateQuarantined marks a query removed from the fan-out after a
-	// trigger panic, quota breach, or engine failure. Its engine is
+	// trigger panic or a quota breach. Its engine is
 	// closed and dropped; the entry survives (with the reason) so LIST
 	// stays honest, and a fresh REGISTER under the same name revives it.
 	StateQuarantined
@@ -487,9 +487,8 @@ func (r *Registry) rebuildLiveLocked() {
 // OnEvent fans one delta out to every live engine, newest registration
 // first. Every engine sees the event even if an earlier one rejects it
 // (identical rejection on replay keeps recovery convergent); the first
-// ordinary rejection is reported, while panics, fatal engine failures,
-// and quota breaches quarantine the offending engine instead (see
-// quarantine.go).
+// ordinary rejection is reported, while panics and quota breaches
+// quarantine the offending engine instead (see quarantine.go).
 func (r *Registry) OnEvent(ev stream.Event) error {
 	r.one[0] = ev
 	return r.fanOut(r.one[:])

@@ -2,11 +2,9 @@ package qgen_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"dbtoaster/internal/engine"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/qgen"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/stream"
@@ -33,23 +31,10 @@ func buildEngines(src string) ([]engine.Engine, func(), error) {
 		return nil, nil, fmt.Errorf("sharded toaster: %w", err)
 	}
 	oracle := engine.NewNaive(q)
-	engines := []engine.Engine{typed, untyped, sharded, oracle}
-	closeFn := func() { sharded.Close() }
-	// DBT_NATIVE_DIFF=1 additionally runs the generated-code engine in the
-	// panel — opt-in because every distinct query pays one `go build` on a
-	// cold cache, which the 220-seed sweep (and fuzzing) would multiply;
-	// TestNativeQgenDifferential in internal/engine pins a fixed-seed
-	// subset unconditionally.
-	if os.Getenv("DBT_NATIVE_DIFF") == "1" {
-		nat, err := engine.NewNativeToaster(q, native.ModeSubprocess)
-		if err != nil {
-			closeFn()
-			return nil, nil, fmt.Errorf("native toaster: %w", err)
-		}
-		engines = append(engines, nat)
-		closeFn = func() { sharded.Close(); nat.Close() }
-	}
-	return engines, closeFn, nil
+	// The generated Go is checked against the compiled engine by
+	// TestNativeQgenDifferential in internal/engine, over a fixed seed set:
+	// every distinct query costs a `go build`.
+	return []engine.Engine{typed, untyped, sharded, oracle}, func() { sharded.Close() }, nil
 }
 
 // runDifferential feeds the trace to every engine and requires bitwise

@@ -85,8 +85,9 @@ func (e *Engine) RestoreMeta(r io.Reader) (uint64, error) {
 
 // WriteSnapshot serializes externally held map state in the engine
 // snapshot format; the scan callback hands over each named map's entries.
-// The native engine uses it to render a generated child's state dump into
-// bytes bitwise-comparable with (and restorable as) an engine snapshot.
+// The codegen parity oracle uses it to render a generated program's state
+// dump into bytes bitwise-comparable with (and restorable as) an engine
+// snapshot.
 func WriteSnapshot(w io.Writer, watermark uint64, mapOrder []string, scan func(name string, visit func(types.Tuple, float64))) error {
 	return writeSnapshot(w, watermark, mapOrder, scan)
 }

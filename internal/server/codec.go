@@ -72,9 +72,8 @@ type deltaParser struct {
 // event whose Relation is the catalog's spelling and whose Args sit in the
 // request's slab. remaining is how many lines the request may still bring,
 // this one included; it sizes a new slab. A slab is never reused for a
-// later request: engines that queue events (the sharded runtime's workers,
-// the native engine's journal) may hold Args after the request is
-// acknowledged.
+// later request: the sharded runtime's workers queue events and may hold
+// Args after the request is acknowledged.
 func (p *deltaParser) parse(op stream.Op, body []byte, remaining int) (stream.Event, error) {
 	name, vals, _ := bytes.Cut(body, space)
 	r := p.rel

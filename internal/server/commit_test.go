@@ -298,7 +298,7 @@ func TestCommitLaneSurvivesPanic(t *testing.T) {
 		var armed atomic.Bool
 		s, c := startDurable(t, "select B, sum(A) from R group by B", Options{
 			WALDir: t.TempDir(), CheckpointEvery: 1,
-			EngineBuilder: func(_ string, q *engine.Query) (engine.CompiledEngine, error) {
+			engineBuilder: func(_ string, q *engine.Query) (engine.CompiledEngine, error) {
 				tt, err := engine.NewToaster(q, runtime.Options{NoMetrics: true})
 				return snapshotPanicker{tt, &armed}, err
 			},

@@ -122,11 +122,12 @@ type Options struct {
 	// OverloadedError carrying a retry hint instead of queueing without
 	// bound; see commit.go.
 	MaxPending int
-	// EngineBuilder overrides engine construction for registered queries
-	// (e.g. the supervised native-code engine). Nil selects the built-in
-	// Toaster (or ShardedToaster per Shards). Builder engines install
-	// as-is: no map sharing or rebuild-with-transfer.
-	EngineBuilder func(name string, q *engine.Query) (engine.CompiledEngine, error)
+
+	// engineBuilder overrides engine construction for registered queries:
+	// the seam tests use to inject fault-raising engines. Nil selects the
+	// built-in Toaster (or ShardedToaster per Shards). Builder engines
+	// install as-is: no map sharing or rebuild-with-transfer.
+	engineBuilder func(name string, q *engine.Query) (engine.CompiledEngine, error)
 }
 
 // Server is a standalone standing-query processor hosting a dynamic set of
@@ -193,7 +194,7 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 	s := &Server{
 		cat: cat, shards: opts.Shards, reg: engine.NewRegistry(opts.Shards <= 1),
 		maxPending: opts.MaxPending, maxConns: opts.MaxConns,
-		idleTimeout: opts.IdleTimeout, engineBuilder: opts.EngineBuilder,
+		idleTimeout: opts.IdleTimeout, engineBuilder: opts.engineBuilder,
 	}
 	if !opts.NoMetrics {
 		s.sink = opts.Metrics
@@ -290,7 +291,7 @@ func (s *Server) onQuarantine(name, reason string) uint64 {
 }
 
 // buildEngine constructs the private (catch-up) engine for one query per
-// the server's configuration: the configured EngineBuilder when set,
+// the server's configuration: the test-injected engineBuilder when set,
 // otherwise the sharded or bare single-threaded Toaster. Bare Toasters are
 // rebuilt by Install with metrics and map sharing; everything else
 // installs as-is.

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dbtoaster/internal/engine"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
@@ -146,22 +144,13 @@ type replayVariant struct {
 }
 
 // replayVariants are the engine kinds a server can run: the single-threaded
-// Toaster, and the two that queue events and so hold on to their Args — the
-// sharded runtime and the supervised native child (built with the go
-// toolchain, so skipped in short mode and where there is none).
-func replayVariants(t *testing.T) []replayVariant {
-	vs := []replayVariant{
-		{"toaster", func(q *engine.Query) (engine.Engine, error) { return engine.NewToaster(q, runtime.Options{}) }},
-		{"sharded-3", func(q *engine.Query) (engine.Engine, error) {
-			return engine.NewShardedToaster(q, 3, runtime.Options{})
-		}},
-	}
-	if _, err := exec.LookPath("go"); err == nil && !testing.Short() {
-		vs = append(vs, replayVariant{"native", func(q *engine.Query) (engine.Engine, error) {
-			return engine.NewNativeToaster(q, native.ModeSubprocess)
-		}})
-	}
-	return vs
+// Toaster, and the sharded runtime, which queues events and so holds on to
+// their Args.
+var replayVariants = []replayVariant{
+	{"toaster", func(q *engine.Query) (engine.Engine, error) { return engine.NewToaster(q, runtime.Options{}) }},
+	{"sharded-3", func(q *engine.Query) (engine.Engine, error) {
+		return engine.NewShardedToaster(q, 3, runtime.Options{})
+	}},
 }
 
 func TestReplayDifferential(t *testing.T) {
@@ -172,7 +161,7 @@ func TestReplayDifferential(t *testing.T) {
 	}
 	// What a catching-up query keeps: relations its program has triggers on.
 	keep := func(rel *schema.Relation) bool { return rel.Name != "audit" }
-	for _, v := range replayVariants(t) {
+	for _, v := range replayVariants {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", v.name, seed), func(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))

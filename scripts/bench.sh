@@ -23,12 +23,6 @@
 #                                        # speedups vs GOMAXPROCS=1 and the
 #                                        # host CPU count; CPUS=1,2 narrows
 #                                        # the sweep)
-#   SUITE=native scripts/bench.sh        # generated-Go engine vs compiled
-#                                        # closures, per-event latency
-#                                        # (BenchmarkNativeVsClosure →
-#                                        # BENCH_native.json; the first run
-#                                        # of each query pays one `go build`
-#                                        # outside the timed region)
 #   SUITE=registry scripts/bench.sh      # dynamic query lifecycle: hot
 #                                        # register/unregister against a
 #                                        # retained WAL history
@@ -77,10 +71,6 @@ shards)
     OUT="${OUT:-BENCH_shards.json}"
     CPUFLAGS="-cpu ${CPUS:-1,2,4,8}"
     ;;
-native)
-    PATTERN='^BenchmarkNativeVsClosure/'
-    OUT="${OUT:-BENCH_native.json}"
-    ;;
 registry)
     PATTERN='^(BenchmarkRegistryRegister|BenchmarkReplay)$'
     OUT="${OUT:-BENCH_registry.json}"
@@ -100,7 +90,7 @@ overload)
     if [ "$BENCHTIME" = 20000x ]; then BENCHTIME=2000x; fi
     ;;
 *)
-    echo "unknown SUITE '$SUITE' (hotpath|typed|metrics|shards|registry|native|overload)" >&2
+    echo "unknown SUITE '$SUITE' (hotpath|typed|metrics|shards|registry|overload)" >&2
     exit 2
     ;;
 esac

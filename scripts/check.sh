@@ -61,19 +61,26 @@ BENCHTIME=10x SUITE=registry OUT="${TMPDIR:-/tmp}/BENCH_registry_smoke.json" sh 
 # Replay smoke: replay is live ingest fed from disk, and a catch-up reads
 # the log while the commit lane appends to it — so the differential property
 # test (batched streaming replay vs the record-at-a-time loop, on the
-# Toaster, sharded and native engines, with a writer appending during the
-# passes), the cursor and read-volume gates, and the crash-recovery fault
+# Toaster and sharded engines, with a writer appending during the passes), the cursor and read-volume gates, and the crash-recovery fault
 # matrix run under the race detector at real parallelism.
 echo "== replay smoke (GOMAXPROCS=4) ==" && GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestReplayDifferential|TestReplayBatchesLifecycleOrder|TestCursorResumes|TestCrashRecoveryFaultMatrix|TestDoubleCrashRecovery' ./internal/wal/
 GOMAXPROCS=4 go test -race -count=1 -run 'TestRegisterReadsLogOnce' ./internal/server/
 
-# Native smoke: generate, `go build`, and drive the generated-Go engine
-# for a fixed qgen seed subset and the bakeoff queries, requiring bitwise
-# snapshot equality against the closure engine, plus a short pass of the
-# native-vs-closure benchmark so the SUITE=native rig stays healthy.
-echo "== native smoke ==" && go test ./internal/engine/ -run 'TestNative' -count=1
-BENCHTIME=100x SUITE=native OUT="${TMPDIR:-/tmp}/BENCH_native_smoke.json" sh scripts/bench.sh >/dev/null
+# Codegen parity: generate each query's Go, `go build` it, run it over the
+# event stream, and require its state dumps to be bitwise-identical
+# snapshots of the closure engine's state (a fixed qgen seed set, the
+# bakeoff queries, float edges, mixed key arities), plus the driver's
+# golden, parse and build checks.
+echo "== codegen parity ==" && go test ./internal/engine/ -run 'TestNative' -count=1
+go test ./internal/codegen/ -run 'TestGeneratedDriver|TestGoldenGeneratedDriver|TestProgramSpec' -count=1
+
+# Import graph: the generated code is a test-only oracle, so no command may
+# link the plugin package (importing it keeps every exported method alive
+# in the binary).
+echo "== import graph ==" && if go list -deps ./cmd/... | grep -x plugin; then
+    echo "a command imports the plugin package" && exit 1
+fi
 
 # Qgen differential + fuzz smoke: seeded random queries over the widened
 # SQL surface (AVG, EXISTS/IN, LEFT OUTER JOIN) must agree bitwise across
@@ -88,9 +95,8 @@ echo "== map store fuzz smoke ==" && go test ./internal/runtime/ -run xxx -fuzz 
 
 # Failure isolation: the engine-level quarantine tests (the server's chaos
 # matrix and overload guards run in the commit lane smoke), then the
-# end-to-end smoke driving
-# a stock dbtserver binary through quarantine, kill -9 recovery, revive,
-# and native child supervision. A short fuzz pass keeps the command loop
+# end-to-end smoke driving a stock dbtserver binary through quarantine,
+# kill -9 recovery and revive. A short fuzz pass keeps the command loop
 # honest against arbitrary input.
 echo "== chaos / overload smoke ==" && GOMAXPROCS=4 go test -race -count=1 -run 'TestQuarantine' ./internal/engine/
 bash scripts/chaos_smoke.sh

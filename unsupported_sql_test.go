@@ -6,8 +6,6 @@ import (
 
 	"dbtoaster"
 	"dbtoaster/internal/bakeoff"
-	"dbtoaster/internal/engine"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/server"
 )
@@ -93,21 +91,6 @@ func compilePaths(cat *schema.Catalog, pub *dbtoaster.Catalog) map[string]func(s
 		},
 		"bakeoff": func(src string) error {
 			_, err := bakeoff.CompileProfile(src, cat)
-			return err
-		},
-		// The native engine's constructor: every corpus statement must fail
-		// in the shared front half (parse/analyze/translate), so this path
-		// surfaces the same structured error without ever invoking the Go
-		// toolchain.
-		"dbtoaster-native": func(src string) error {
-			q, err := engine.Prepare(src, cat)
-			if err != nil {
-				return err
-			}
-			eng, err := engine.NewNativeToaster(q, native.ModeSubprocess)
-			if err == nil {
-				eng.Close()
-			}
 			return err
 		},
 	}
