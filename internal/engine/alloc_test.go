@@ -8,6 +8,7 @@ import (
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/types"
+	"dbtoaster/internal/wal"
 )
 
 // allocPerEvent drives prebuilt events through a compiled engine and
@@ -108,12 +109,14 @@ func TestSortedMapAllocBudget(t *testing.T) {
 // not once per query. The second half counts admissions by their one
 // observable cost: an int in a float column makes Coerce clone the tuple,
 // so a batch of such events costs one allocation per event — it cost
-// sixteen when every engine admitted for itself.
+// sixteen when every engine admitted for itself — and none at all when the
+// batch was admitted, and so widened, where it entered.
 func TestRegistryFanOutAllocsAndAdmitsOnce(t *testing.T) {
 	r := NewRegistry(true)
+	cat := testCatalog()
 	const queries = 16
 	for i := 0; i < queries; i++ {
-		installLive(t, r, fmt.Sprintf("q%d", i), fmt.Sprintf("select sum(volume) from bids where price > %d", i))
+		installOver(t, r, cat, fmt.Sprintf("q%d", i), fmt.Sprintf("select sum(volume) from bids where price > %d", i))
 	}
 	exact := make([]stream.Event, 256)
 	widened := make([]stream.Event, 256)
@@ -136,6 +139,14 @@ func TestRegistryFanOutAllocsAndAdmitsOnce(t *testing.T) {
 		t.Errorf("fan-out of %d int-for-float events over %d queries: %g allocs, want one admission each = %d",
 			len(widened), queries, got, len(widened))
 	}
+	admitted := admitAll(t, cat, widened)
+	if got := testing.AllocsPerRun(10, func() {
+		if err := r.ApplyAdmitted(admitted); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("fan-out of %d admitted int-for-float events over %d queries: %g allocs, want 0", len(widened), queries, got)
+	}
 	one := widened[0]
 	if got := testing.AllocsPerRun(10, func() {
 		if err := r.OnEvent(one); err != nil {
@@ -143,5 +154,62 @@ func TestRegistryFanOutAllocsAndAdmitsOnce(t *testing.T) {
 		}
 	}); got != 1 {
 		t.Errorf("single-event fan-out: %g allocs, want 1 admission", got)
+	}
+}
+
+// TestCatchUpAdmittedBatchAllocs is the catch-up twin: a private engine
+// applying a WAL batch of int-for-float events allocates nothing, because
+// the reader widened them into the batch's own slab once; the same events
+// handed to OnEventBatch, which admits each for itself, cost one Coerce
+// clone apiece.
+func TestCatchUpAdmittedBatchAllocs(t *testing.T) {
+	cat := testCatalog()
+	q, err := Prepare("select sum(volume) from bids where price > 3", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewToaster(q, runtime.Options{NoMetrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	raw := make([]stream.Event, wal.BatchEvents)
+	recs := make([][]byte, len(raw))
+	for i := range raw {
+		raw[i] = stream.Ins("bids", types.NewInt(int64(i%32)), types.NewFloat(float64(i%5+1)))
+		recs[i] = wal.AppendEvent(nil, "bids", true, raw[i].Args)
+	}
+	if _, err := m.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	var batch stream.Admitted
+	if _, err := m.ReplayBatches(&wal.Cursor{}, 0, wal.EventSource{Catalog: cat}, func(b *wal.Batch) error {
+		batch = stream.Admitted{Catalog: b.Catalog, Events: append([]stream.Event(nil), b.Events...)}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Events) != len(raw) || batch.Catalog != cat {
+		t.Fatalf("replay delivered %d events over %p, want %d over %p", len(batch.Events), batch.Catalog, len(raw), cat)
+	}
+	apply := func() {
+		if err := ApplyAdmitted(eng, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply() // warm: the map entry born
+	if got := testing.AllocsPerRun(10, apply); got != 0 {
+		t.Errorf("catch-up apply of a %d-event WAL batch: %g allocs, want 0", len(raw), got)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if err := eng.OnEventBatch(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); got != float64(len(raw)) {
+		t.Errorf("OnEventBatch of %d int-for-float events: %g allocs, want one admission each", len(raw), got)
 	}
 }

@@ -166,14 +166,51 @@ func Prepare(src string, cat *schema.Catalog) (*Query, error) {
 
 // coerce validates and widens an event's tuple against the catalog.
 func coerce(cat *schema.Catalog, ev stream.Event) (types.Tuple, error) {
-	rel, ok := cat.Relation(ev.Relation)
+	ad, err := admit(cat, ev)
+	return ad.Args, err
+}
+
+// admit validates and widens an event against the catalog and stamps it
+// with its relation's ordinal and spelling there.
+func admit(cat *schema.Catalog, ev stream.Event) (stream.Event, error) {
+	rel, ord, ok := cat.Lookup(ev.Relation)
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown relation %q", ev.Relation)
+		return stream.Event{}, fmt.Errorf("engine: unknown relation %q", ev.Relation)
 	}
 	if err := rel.Validate(ev.Args); err != nil {
-		return nil, err
+		return stream.Event{}, err
 	}
-	return rel.Coerce(ev.Args), nil
+	return stream.Event{Op: ev.Op, Ord: int32(ord), Relation: rel.Name, Args: rel.Coerce(ev.Args)}, nil
+}
+
+// relationNames lists a catalog's relation names in ordinal order, the
+// layout an engine's dispatch table takes for it (nil for no catalog).
+func relationNames(cat *schema.Catalog) []string {
+	if cat == nil {
+		return nil
+	}
+	rels := cat.Relations()
+	names := make([]string, len(rels))
+	for i, r := range rels {
+		names[i] = r.Name
+	}
+	return names
+}
+
+// admittedEngine is an engine that applies an admitted batch as it is,
+// without admitting its events again.
+type admittedEngine interface {
+	applyAdmitted(stream.Admitted) error
+}
+
+// ApplyAdmitted applies a batch admitted where it entered — the server's
+// session parser or the WAL reader — to eng: a Toaster or sharded engine
+// takes it without re-admitting it, any other engine through OnEventBatch.
+func ApplyAdmitted(eng Engine, b stream.Admitted) error {
+	if a, ok := eng.(admittedEngine); ok {
+		return a.applyAdmitted(b)
+	}
+	return eng.OnEventBatch(b.Events)
 }
 
 // --- Shared result assembly ---

@@ -8,7 +8,6 @@ import (
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
-	"dbtoaster/internal/types"
 )
 
 // Failure isolation: the fan-out treats each live query as a tenant whose
@@ -82,20 +81,19 @@ func (p *passState) stopped() bool { return p.err != nil || p.pval != nil }
 // so one huge batch does not pin its footprint for the registry's lifetime.
 const maxScratchEvents = 4096
 
-// admit validates and coerces evs against cat, once for the whole fan-out
-// rather than once per engine, into the reused admitted slice. It stops at
-// the first rejected event and returns the admitted prefix with the
+// admit validates, coerces and stamps evs against cat, once for the whole
+// fan-out rather than once per engine, into the reused admitted slice. It
+// stops at the first rejected event and returns the admitted prefix with the
 // rejection: the engines apply exactly that prefix, which is also what an
 // engine fed the batch directly (admitting for itself) ends up applying.
 func (r *Registry) admit(cat *schema.Catalog, evs []stream.Event) ([]stream.Event, error) {
 	out := r.admitted[:0]
 	var err error
 	for _, ev := range evs {
-		var args types.Tuple
-		if args, err = coerce(cat, ev); err != nil {
+		if ev, err = admit(cat, ev); err != nil {
 			break
 		}
-		out = append(out, stream.Event{Op: ev.Op, Relation: ev.Relation, Args: args})
+		out = append(out, ev)
 	}
 	if cap(out) <= maxScratchEvents {
 		r.admitted = out
@@ -107,18 +105,24 @@ func (r *Registry) admit(cat *schema.Catalog, evs []stream.Event) ([]stream.Even
 
 // fanOut applies evs to every live engine, newest registration first,
 // containing per-engine failures. Healthy engines always see the delta
-// even when another engine rejects or dies on it. Passes must not overlap:
+// even when another engine rejects or dies on it. cat is the catalog evs
+// were admitted against; nil admits them here. Passes must not overlap:
 // the caller serializes them (the server's commit lane does), as it must for
 // the single-threaded engines anyway.
-func (r *Registry) fanOut(evs []stream.Event) error {
+func (r *Registry) fanOut(evs []stream.Event, cat *schema.Catalog) error {
 	live, quota, enforce, eventMajor := r.fanState()
 	if len(live) == 0 {
 		return nil
 	}
-	// Every query of one registry is prepared against the same schema; the
-	// oldest live query's catalog speaks for all.
-	admitted, firstErr := r.admit(live[len(live)-1].q.Catalog, evs)
-	n := len(admitted)
+	var firstErr error
+	if cat == nil {
+		// Every query of one registry is prepared against the same schema;
+		// the oldest live query's catalog speaks for all.
+		cat = live[len(live)-1].q.Catalog
+		evs, firstErr = r.admit(cat, evs)
+	}
+	admitted := stream.Admitted{Catalog: cat, Events: evs}
+	n := len(evs)
 	if n == 0 {
 		return firstErr
 	}
@@ -132,10 +136,11 @@ func (r *Registry) fanOut(evs []stream.Event) error {
 		// Some engine reads a map another (older) engine maintains: every
 		// engine must finish event i before any starts event i+1, or the
 		// reader would see the map as of the batch, not the event.
-		for i := range admitted {
+		for i := range evs {
+			admitted.Events = evs[i : i+1]
 			for j, e := range live {
 				if !pass[j].stopped() {
-					runGuarded(e.eng, admitted[i:i+1], timed, &pass[j])
+					runGuarded(e.eng, admitted, timed, &pass[j])
 				}
 			}
 		}
@@ -202,10 +207,8 @@ func (r *Registry) fanOut(evs []stream.Event) error {
 // runGuarded applies admitted events to one engine behind a panic backstop,
 // accumulating the outcome in p. The runtime's own containment converts
 // trigger panics to *runtime.PanicError; the recover here catches
-// everything above that layer (sharded dispatch). A Toaster takes the
-// events as admitted; the sharded engine keeps its own admission, which
-// the admitted tuples pass unchanged.
-func runGuarded(eng CompiledEngine, evs []stream.Event, timed bool, p *passState) {
+// everything above that layer (sharded dispatch).
+func runGuarded(eng CompiledEngine, b stream.Admitted, timed bool, p *passState) {
 	defer func() {
 		if v := recover(); v != nil {
 			p.pval = v
@@ -215,13 +218,7 @@ func runGuarded(eng CompiledEngine, evs []stream.Event, timed bool, p *passState
 	if timed {
 		start = time.Now()
 	}
-	if t, ok := eng.(*Toaster); ok {
-		p.err = t.onAdmitted(evs)
-	} else if len(evs) == 1 {
-		p.err = eng.OnEvent(evs[0])
-	} else {
-		p.err = eng.OnEventBatch(evs)
-	}
+	p.err = ApplyAdmitted(eng, b)
 	if timed {
 		p.elapsed += time.Since(start)
 	}

@@ -491,14 +491,21 @@ func (r *Registry) rebuildLiveLocked() {
 // quarantine the offending engine instead (see quarantine.go).
 func (r *Registry) OnEvent(ev stream.Event) error {
 	r.one[0] = ev
-	return r.fanOut(r.one[:])
+	return r.fanOut(r.one[:], nil)
 }
 
 // OnEventBatch fans a batch out to every live engine, newest first. The
 // outcome equals OnEvent per event in order, up to the first event the
 // catalog rejects: that one is reported and the rest of the batch dropped.
 func (r *Registry) OnEventBatch(evs []stream.Event) error {
-	return r.fanOut(evs)
+	return r.fanOut(evs, nil)
+}
+
+// ApplyAdmitted is OnEventBatch for a batch admitted where it entered (the
+// server's session parser, the WAL reader): nothing is checked again, and
+// every engine built over b.Catalog finds each event's trigger by ordinal.
+func (r *Registry) ApplyAdmitted(b stream.Admitted) error {
+	return r.fanOut(b.Events, b.Catalog)
 }
 
 // Get returns a live query's engine.

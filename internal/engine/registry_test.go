@@ -5,6 +5,7 @@ import (
 
 	"dbtoaster/internal/orderbook"
 	"dbtoaster/internal/runtime"
+	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
 )
 
@@ -95,4 +96,57 @@ func TestFanOutOrderFollowsBorrowedReads(t *testing.T) {
 	check(r2, evs, "twosided", orderbook.QueryTwoSidedVolume)
 	check(r2, evs, "spreadcover", orderbook.QueryBidAskSpreadCover)
 	check(r2, evs, "netask", orderbook.QueryBrokerNetAsk)
+}
+
+// TestRegistryForeignCatalogResolvesByName feeds batches stamped against
+// another *schema.Catalog — the order book's relations in the other order,
+// so each ordinal names the other relation — and checks every query ends
+// where a private engine fed the events by name does: a batch whose catalog
+// is not an engine's own is resolved by name, never by ordinal. The same
+// batches stamped against the queries' own catalog end there too.
+func TestRegistryForeignCatalogResolvesByName(t *testing.T) {
+	cat := orderbook.Catalog()
+	rels := cat.Relations()
+	foreign := schema.NewCatalog(rels[1], rels[0])
+	if _, ord, _ := foreign.Lookup("bids"); ord != 1 {
+		t.Fatalf("foreign catalog puts bids at ordinal %d; the test needs the order swapped", ord)
+	}
+	queries := map[string]string{
+		"turnover":    orderbook.QueryBidTurnover,
+		"askdepth":    orderbook.QueryAskDepth,
+		"spreadcover": orderbook.QueryBidAskSpreadCover,
+	}
+	evs := orderbook.NewGenerator(5, 200).Events(3000)
+	for _, stampedBy := range []*schema.Catalog{foreign, cat} {
+		r := NewRegistry(true)
+		for _, name := range []string{"turnover", "askdepth", "spreadcover"} {
+			installOver(t, r, cat, name, queries[name])
+		}
+		for _, b := range stream.Batches(evs, 256) {
+			if err := r.ApplyAdmitted(admitAll(t, stampedBy, b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, sql := range queries {
+			q, err := Prepare(sql, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewToaster(q, runtime.Options{NoMetrics: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range evs {
+				if err := ref.OnEvent(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, _ := ref.Results()
+			eng, _ := r.Get(name)
+			if got, _ := eng.Results(); !got.Equal(want) {
+				t.Errorf("stamped against the %s catalog, query %s:\n%swant\n%s",
+					map[bool]string{true: "foreign", false: "own"}[stampedBy == foreign], name, got, want)
+			}
+		}
+	}
 }

@@ -116,15 +116,25 @@ func (t *ShardedToaster) OnEvent(ev stream.Event) error {
 // OnEventBatch implements Engine: the whole batch is coerced up front and
 // handed to the dispatcher in one call, so the admission check (a mutex
 // round trip) is paid once per batch instead of once per event.
-func (t *ShardedToaster) OnEventBatch(evs []stream.Event) error {
+func (t *ShardedToaster) OnEventBatch(evs []stream.Event) error { return t.dispatch(evs, true) }
+
+// applyAdmitted is OnEventBatch for a batch admitted where it entered.
+func (t *ShardedToaster) applyAdmitted(b stream.Admitted) error { return t.dispatch(b.Events, false) }
+
+// dispatch hands evs to the dispatcher, coercing each first when check is
+// set.
+func (t *ShardedToaster) dispatch(evs []stream.Event, check bool) error {
 	if cap(t.batch) < len(evs) {
 		t.batch = make([]runtime.Event, 0, len(evs))
 	}
 	batch := t.batch[:0]
 	for _, ev := range evs {
-		args, err := coerce(t.q.Catalog, ev)
-		if err != nil {
-			return err
+		args := ev.Args
+		if check {
+			var err error
+			if args, err = coerce(t.q.Catalog, ev); err != nil {
+				return err
+			}
 		}
 		// Clone for the same reason OnEvent does: the runtime retains the
 		// tuple until the worker batch drains.

@@ -60,6 +60,7 @@ func NewToasterCompiled(q *Query, comp *compiler.Compiled, opts runtime.Options)
 	if err != nil {
 		return nil, err
 	}
+	rt.BindRelations(relationNames(q.Catalog))
 	t := &Toaster{
 		viewReader: viewReader{view: engineViews(rt), byQuery: map[*translate.Query]*compiler.QueryInfo{}},
 		rt:         rt,
@@ -105,13 +106,23 @@ func (t *Toaster) OnEvent(ev stream.Event) error {
 	return t.rt.OnEvent(ev.Relation, ev.Op == stream.Insert, args)
 }
 
-// onAdmitted applies events the registry's fan-out has already validated and
-// coerced against the catalog (Registry.admit); OnEvent is the same with
-// the admission in front.
-func (t *Toaster) onAdmitted(evs []stream.Event) error {
-	for i := range evs {
-		ev := &evs[i]
-		if err := t.rt.OnEvent(ev.Relation, ev.Op == stream.Insert, ev.Args); err != nil {
+// applyAdmitted applies an admitted batch. Admitted against this query's
+// catalog, each event finds its trigger by ordinal; against another, by
+// name. Either way the batch was checked and widened where it entered, so
+// OnEvent's admission is not repeated.
+func (t *Toaster) applyAdmitted(b stream.Admitted) error {
+	if b.Catalog != t.q.Catalog {
+		for i := range b.Events {
+			ev := &b.Events[i]
+			if err := t.rt.OnEvent(ev.Relation, ev.Op == stream.Insert, ev.Args); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := range b.Events {
+		ev := &b.Events[i]
+		if err := t.rt.OnEventOrd(int(ev.Ord), ev.Op == stream.Insert, ev.Args); err != nil {
 			return err
 		}
 	}

@@ -30,8 +30,10 @@ var chaosCfg atomic.Pointer[chaosConfig]
 
 // SetChaosPanic arms a deterministic failpoint: the engine panics while
 // processing a trigger for rel once its engine-local event ordinal reaches
-// after. Ordinals count every event routed to the engine, so a replay of
-// the same stream re-fires the failpoint at the same position.
+// after. Ordinals count every event routed to the engine instance, so a
+// replay of the same stream re-fires the failpoint at the same position. A
+// catching-up engine is not routed the log records of relations it has no
+// trigger on, so its ordinal runs behind a boot-time engine's.
 func SetChaosPanic(rel string, after uint64) {
 	next := chaosSnapshot()
 	next.panicRel = strings.ToLower(rel)

@@ -80,12 +80,17 @@ type Engine struct {
 	prog     *ir.Program
 	opts     Options
 	maps     map[string]*Map
-	triggers map[string]*compiledTrigger
-	// trigIns/trigDel resolve triggers directly by relation name (declared
-	// case and lowercase), so per-event dispatch never builds a lookup
-	// string.
-	trigIns map[string]*compiledTrigger
-	trigDel map[string]*compiledTrigger
+	triggers []*compiledTrigger // in program order
+	// table dispatches by relation ordinal: table[2*ord] is the insert
+	// trigger, table[2*ord+1] the delete trigger, nil where the program has
+	// none. Ordinals below bound are the relations BindRelations named, in
+	// its order; the ones above are further spellings the name-based entry
+	// points resolve (see BindRelations).
+	table []*compiledTrigger
+	bound int
+	// ords resolves a relation name, as spelled or lowercased, to its
+	// ordinal; only OnEvent and OnEventBatch consult it.
+	ords map[string]int
 	// ikey and ibound are the interpreter's pooled key/bound buffers (one
 	// bound buffer per loop depth), keeping the ablation path comparable to
 	// the closures' compile-time buffers.
@@ -211,15 +216,12 @@ func mapLayout(d *ir.MapDecl, banned map[string]bool, intPos map[string][]bool) 
 
 func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine, error) {
 	e := &Engine{
-		prog:     prog,
-		opts:     opts,
-		maps:     make(map[string]*Map, len(prog.Maps)),
-		triggers: make(map[string]*compiledTrigger),
-		trigIns:  make(map[string]*compiledTrigger),
-		trigDel:  make(map[string]*compiledTrigger),
-		demote:   map[string]bool{},
-		sink:     opts.sink(),
-		adopted:  map[string]bool{},
+		prog:    prog,
+		opts:    opts,
+		maps:    make(map[string]*Map, len(prog.Maps)),
+		demote:  map[string]bool{},
+		sink:    opts.sink(),
+		adopted: map[string]bool{},
 	}
 	typed := opts.typedMode()
 	if typed {
@@ -297,29 +299,72 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 				ct.stats = e.sink.Trigger(opts.MetricsLabel, t.Relation, t.Insert)
 			}
 		}
-		e.triggers[triggerKey(t.Relation, t.Insert)] = ct
-		byRel := e.trigIns
-		if !t.Insert {
-			byRel = e.trigDel
-		}
-		byRel[t.Relation] = ct
-		byRel[strings.ToLower(t.Relation)] = ct
+		e.triggers = append(e.triggers, ct)
 	}
+	e.BindRelations(nil)
 	return e, nil
 }
 
-// trigger resolves a relation's trigger without allocating: the exact
-// name probes first, then the lowercase registration (the slow ToLower
-// fallback only runs for events whose case matches neither).
+// BindRelations lays the dispatch table out over rels, a catalog's relation
+// names in ordinal order, so OnEventOrd takes that catalog's ordinals:
+// ordinals 0..len(rels)-1 for rels, then one for every further name OnEvent
+// may be given — each trigger's relation as declared and lowercased.
+// Resolution is case-insensitive, exact spelling first: an event on "r"
+// finds the triggers of "R" whatever the path.
+func (e *Engine) BindRelations(rels []string) {
+	ins, del := map[string]*compiledTrigger{}, map[string]*compiledTrigger{}
+	for _, ct := range e.triggers {
+		byRel := ins
+		if !ct.trig.Insert {
+			byRel = del
+		}
+		byRel[ct.trig.Relation] = ct
+		byRel[strings.ToLower(ct.trig.Relation)] = ct
+	}
+	resolve := func(byRel map[string]*compiledTrigger, rel string) *compiledTrigger {
+		if ct, ok := byRel[rel]; ok {
+			return ct
+		}
+		return byRel[strings.ToLower(rel)]
+	}
+	e.table, e.bound, e.ords = nil, len(rels), make(map[string]int, len(rels)+2*len(e.triggers))
+	add := func(rel string) {
+		if _, dup := e.ords[rel]; !dup {
+			e.ords[rel] = len(e.table) / 2
+		}
+		e.table = append(e.table, resolve(ins, rel), resolve(del, rel))
+	}
+	for _, rel := range rels {
+		add(rel)
+	}
+	for _, ct := range e.triggers {
+		for _, rel := range [...]string{ct.trig.Relation, strings.ToLower(ct.trig.Relation)} {
+			if _, ok := e.ords[rel]; !ok {
+				add(rel)
+			}
+		}
+	}
+}
+
+// trigger resolves a relation's trigger by name without allocating: the
+// exact spelling probes first, then the lowercase one (the ToLower only runs
+// for a name the engine has never seen spelled that way).
 func (e *Engine) trigger(rel string, insert bool) *compiledTrigger {
-	byRel := e.trigIns
-	if !insert {
-		byRel = e.trigDel
+	ord, ok := e.ords[rel]
+	if !ok {
+		if ord, ok = e.ords[strings.ToLower(rel)]; !ok {
+			return nil
+		}
 	}
-	if ct, ok := byRel[rel]; ok {
-		return ct
+	return e.table[slot(ord, insert)]
+}
+
+// slot is an ordinal's table index for one op.
+func slot(ord int, insert bool) int {
+	if insert {
+		return 2 * ord
 	}
-	return byRel[strings.ToLower(rel)]
+	return 2*ord + 1
 }
 
 // Program returns the engine's program.
@@ -390,14 +435,6 @@ func (e *Engine) ReadsAdopted() bool {
 	return false
 }
 
-func triggerKey(rel string, insert bool) string {
-	k := strings.ToLower(rel)
-	if insert {
-		return "+" + k
-	}
-	return "-" + k
-}
-
 // OnEvent runs the trigger for one base-relation delta. Unknown relations
 // or relations the query does not mention are ignored (a standing query
 // only reacts to its own inputs).
@@ -407,6 +444,19 @@ func triggerKey(rel string, insert bool) string {
 // two clock reads amortize across the sample interval.
 func (e *Engine) OnEvent(rel string, insert bool, args types.Tuple) error {
 	return e.apply(e.trigger(rel, insert), args)
+}
+
+// OnEventOrd is OnEvent for an event admitted against the catalog whose
+// relation names BindRelations was given: ord is the relation's ordinal
+// there, and the trigger is one table load away. An ordinal past them — a
+// relation the catalog gained after the engine was built, which the program
+// cannot mention — has no trigger.
+func (e *Engine) OnEventOrd(ord int, insert bool, args types.Tuple) error {
+	var ct *compiledTrigger
+	if uint(ord) < uint(e.bound) {
+		ct = e.table[slot(ord, insert)]
+	}
+	return e.apply(ct, args)
 }
 
 // apply runs one event through its resolved trigger (nil: the query does

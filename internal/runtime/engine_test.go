@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dbtoaster/internal/algebra"
@@ -259,8 +260,10 @@ func TestEngineIgnoresUnknownRelations(t *testing.T) {
 // TestTriggerResolutionAcrossRuns drives OnEventBatch's once-per-run
 // trigger resolution through every boundary it can get wrong: a run of one
 // relation, a switch of op, a switch of spelling, an unknown relation in
-// between (resolved as "no trigger"), and back — against the same events
-// applied one at a time.
+// between (resolved as "no trigger"), a relation with no trigger, and back —
+// against the same events applied one at a time, and against the ordinal
+// table bound to two spellings of the catalog — as declared, and lowercased
+// in another order — and bound to "R" for a program whose triggers say "r".
 func TestTriggerResolutionAcrossRuns(t *testing.T) {
 	c := compileSQL(t, rstCatalog(), "select B, sum(A) from R group by B")
 	row := func(a, b int64) types.Tuple { return types.Tuple{types.NewInt(a), types.NewInt(b)} }
@@ -279,9 +282,37 @@ func TestTriggerResolutionAcrossRuns(t *testing.T) {
 	if err := batch.OnEventBatch(evs); err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []*Engine{single, batch} {
+	engines := []*Engine{single, batch}
+	// The same query compiled against lowercase relation names: bound to the
+	// declared "R", it finds its triggers through the case fold.
+	lower := compileSQL(t, schema.NewCatalog(schema.NewRelation("r", "A:int", "B:int"),
+		schema.NewRelation("s", "B:int", "C:int")), "select B, sum(A) from r group by B")
+	for _, bind := range []struct {
+		prog *ir.Program
+		rels []string
+	}{{c.Program, []string{"R", "S", "T"}}, {c.Program, []string{"t", "s", "r"}}, {lower.Program, []string{"R", "S", "T"}}} {
+		rels := bind.rels
+		table, _ := NewEngine(bind.prog, Options{})
+		table.BindRelations(rels)
+		for _, ev := range evs {
+			ord := len(rels) // Z: past every bound relation
+			for i, rel := range rels {
+				if strings.EqualFold(rel, ev.Rel) {
+					ord = i
+				}
+			}
+			if err := table.OnEventOrd(ord, ev.Insert, ev.Args); err != nil {
+				t.Fatal(err)
+			}
+		}
+		engines = append(engines, table)
+	}
+	for _, eng := range engines {
 		if got := eng.Map("q_c1").Get(types.Tuple{types.NewInt(7)}); got != 12 {
 			t.Errorf("sum(A) for B=7 = %v, want 4+8", got)
+		}
+		if got := eng.Map("q_c1").Get(types.Tuple{types.NewInt(9)}); got != 0 {
+			t.Errorf("sum(A) for B=9 = %v: an event on the unknown Z reached a trigger", got)
 		}
 		if eng.Events() != uint64(len(evs)) {
 			t.Errorf("events = %d, want %d", eng.Events(), len(evs))

@@ -123,82 +123,110 @@ func (r *Relation) Validate(t types.Tuple) error {
 	return nil
 }
 
+// Widen widens t's ints to floats in place where the column type is float,
+// for a validated tuple the caller owns.
+func (r *Relation) Widen(t types.Tuple) {
+	for i, v := range t {
+		if r.Columns[i].Type == types.KindFloat && v.Kind() == types.KindInt {
+			t[i] = types.NewFloat(v.Float())
+		}
+	}
+}
+
 // Coerce returns a copy of t with ints widened to floats where the column
 // type is float, so that downstream map keys are kind-stable.
 func (r *Relation) Coerce(t types.Tuple) types.Tuple {
-	out := t
-	copied := false
 	for i, v := range t {
 		if r.Columns[i].Type == types.KindFloat && v.Kind() == types.KindInt {
-			if !copied {
-				out = t.Clone()
-				copied = true
-			}
-			out[i] = types.NewFloat(v.Float())
+			out := t.Clone()
+			r.Widen(out)
+			return out
 		}
 	}
-	return out
+	return t
 }
 
-// Catalog is a set of relations addressable by case-insensitive name.
+// Catalog is a set of relations addressable by case-insensitive name. Each
+// relation has an ordinal, its position in insertion order: replacing a
+// relation keeps its ordinal, so ordinals are stable for the catalog's life.
+// Admission stamps an event with its relation's ordinal, and engines built
+// over the catalog dispatch on it instead of on the name.
 type Catalog struct {
-	rels map[string]*Relation
-	// exact indexes the same relations by their declared spelling, so the
+	rels []*Relation // by ordinal
+	fold map[string]int
+	// exact indexes the same ordinals by the declared spelling, so the
 	// per-event lookups (which almost always use it) skip the case fold.
-	exact map[string]*Relation
-	// order preserves insertion order for deterministic listings.
-	order []string
+	exact  map[string]int
+	sealed bool
 }
 
 // NewCatalog builds a catalog from the given relations.
 func NewCatalog(rels ...*Relation) *Catalog {
-	c := &Catalog{rels: make(map[string]*Relation), exact: make(map[string]*Relation)}
+	c := &Catalog{fold: make(map[string]int), exact: make(map[string]int)}
 	for _, r := range rels {
 		c.Add(r)
 	}
 	return c
 }
 
-// Add registers a relation, replacing any previous one of the same name.
+// Add registers a relation, replacing any previous one of the same name. It
+// panics on a sealed catalog.
 func (c *Catalog) Add(r *Relation) {
-	key := strings.ToLower(r.Name)
-	if old, exists := c.rels[key]; exists {
-		delete(c.exact, old.Name)
-	} else {
-		c.order = append(c.order, key)
+	if c.sealed {
+		panic(fmt.Sprintf("schema: relation %s added to a sealed catalog", r.Name))
 	}
-	c.rels[key] = r
-	c.exact[r.Name] = r
+	key := strings.ToLower(r.Name)
+	ord, exists := c.fold[key]
+	if exists {
+		delete(c.exact, c.rels[ord].Name)
+		c.rels[ord] = r
+	} else {
+		ord = len(c.rels)
+		c.rels = append(c.rels, r)
+		c.fold[key] = ord
+	}
+	c.exact[r.Name] = ord
 }
+
+// Seal freezes the catalog: a later Add panics. A server seals the catalog
+// it serves, because its engines' dispatch tables and every admitted event's
+// ordinal were laid out against the relations it held.
+func (c *Catalog) Seal() { c.sealed = true }
 
 // Relation looks up a relation by name (case-insensitive). The returned
 // pointer is the catalog's one handle for the relation: its Name is the
 // canonical spelling whatever case the caller used.
 func (c *Catalog) Relation(name string) (*Relation, bool) {
-	if r, ok := c.exact[name]; ok {
-		return r, true
-	}
-	r, ok := c.rels[strings.ToLower(name)]
+	r, _, ok := c.Lookup(name)
 	return r, ok
 }
 
-// RelationBytes is Relation for a name still sitting in a read buffer; it
-// does not allocate when the name uses the declared spelling.
-func (c *Catalog) RelationBytes(name []byte) (*Relation, bool) {
-	if r, ok := c.exact[string(name)]; ok {
-		return r, true
+// Lookup is Relation plus the relation's ordinal.
+func (c *Catalog) Lookup(name string) (*Relation, int, bool) {
+	ord, ok := c.exact[name]
+	if !ok {
+		if ord, ok = c.fold[strings.ToLower(name)]; !ok {
+			return nil, -1, false
+		}
 	}
-	r, ok := c.rels[strings.ToLower(string(name))]
-	return r, ok
+	return c.rels[ord], ord, true
 }
 
-// Relations returns all relations in insertion order.
+// LookupBytes is Lookup for a name still sitting in a read buffer; it does
+// not allocate when the name uses the declared spelling.
+func (c *Catalog) LookupBytes(name []byte) (*Relation, int, bool) {
+	ord, ok := c.exact[string(name)]
+	if !ok {
+		if ord, ok = c.fold[strings.ToLower(string(name))]; !ok {
+			return nil, -1, false
+		}
+	}
+	return c.rels[ord], ord, true
+}
+
+// Relations returns all relations in ordinal order.
 func (c *Catalog) Relations() []*Relation {
-	out := make([]*Relation, 0, len(c.order))
-	for _, k := range c.order {
-		out = append(out, c.rels[k])
-	}
-	return out
+	return append([]*Relation(nil), c.rels...)
 }
 
 // Names returns the sorted relation names; useful for deterministic output.

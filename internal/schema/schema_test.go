@@ -124,11 +124,30 @@ func TestCatalog(t *testing.T) {
 		if got, ok := c.Relation(name); !ok || got != r3 {
 			t.Errorf("Relation(%q) = %v, want the replacement", name, got)
 		}
-		if got, ok := c.RelationBytes([]byte(name)); !ok || got != r3 {
-			t.Errorf("RelationBytes(%q) = %v, want the replacement", name, got)
+		if got, ord, ok := c.LookupBytes([]byte(name)); !ok || got != r3 || ord != 0 {
+			t.Errorf("LookupBytes(%q) = %v, %d, want the replacement at ordinal 0", name, got, ord)
 		}
 	}
-	if _, ok := c.RelationBytes([]byte("T")); ok {
+	if _, ord, ok := c.LookupBytes([]byte("T")); ok || ord != -1 {
 		t.Error("phantom relation found by bytes")
 	}
+	if _, ord, ok := c.Lookup("s"); !ok || ord != 1 || len(c.Relations()) != 2 {
+		t.Errorf("Lookup(s) ordinal = %d, Len = %d; want 1 of 2", ord, len(c.Relations()))
+	}
+}
+
+// TestSealedCatalogRefusesRelations: a served catalog's ordinals are fixed,
+// so adding a relation after Seal is a programming error that panics.
+func TestSealedCatalogRefusesRelations(t *testing.T) {
+	c := NewCatalog(NewRelation("R", "A:int"))
+	c.Seal()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add on a sealed catalog did not panic")
+		}
+		if len(c.Relations()) != 1 {
+			t.Fatalf("sealed catalog has %d relations, want 1", len(c.Relations()))
+		}
+	}()
+	c.Add(NewRelation("S", "B:int"))
 }

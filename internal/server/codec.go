@@ -59,27 +59,31 @@ func deltaOp(cmd []byte) (stream.Op, bool) {
 	return 0, false
 }
 
-// deltaParser turns delta lines into events. It is one connection's state:
-// rel remembers the last relation resolved, so a run of lines on one
-// relation resolves it once, and slab is the current request's values.
+// deltaParser turns delta lines into events admitted against cat. It is one
+// connection's state: rel and ord remember the last relation resolved, so a
+// run of lines on one relation resolves it once, and slab is the current
+// request's values.
 type deltaParser struct {
 	cat  *schema.Catalog
 	rel  *schema.Relation
+	ord  int
 	slab []types.Value
 }
 
 // parse parses the body of a delta line — "<relation> v1|v2|..." — into an
-// event whose Relation is the catalog's spelling and whose Args sit in the
-// request's slab. remaining is how many lines the request may still bring,
-// this one included; it sizes a new slab. A slab is never reused for a
-// later request: the sharded runtime's workers queue events and may hold
-// Args after the request is acknowledged.
+// admitted event (see stream.Admitted): its Relation is the catalog's
+// spelling, Ord its ordinal, and its Args, parsed as their columns' kinds,
+// sit in the request's slab. remaining is how many lines the request may
+// still bring, this one included; it sizes a new slab. A slab is never
+// reused for a later request: the sharded runtime's workers queue events
+// and may hold Args after the request is acknowledged.
 func (p *deltaParser) parse(op stream.Op, body []byte, remaining int) (stream.Event, error) {
 	name, vals, _ := bytes.Cut(body, space)
 	r := p.rel
 	if r == nil || string(name) != r.Name {
 		var ok bool
-		if r, ok = p.cat.RelationBytes(name); !ok {
+		if r, p.ord, ok = p.cat.LookupBytes(name); !ok {
+			p.rel = nil
 			return stream.Event{}, fmt.Errorf("unknown relation %q", name)
 		}
 		p.rel = r
@@ -108,7 +112,7 @@ func (p *deltaParser) parse(op stream.Op, body []byte, remaining int) (stream.Ev
 	}
 	// The capacity stops at the event's own values: appending to Args must
 	// never write into the next event's.
-	return stream.Event{Op: op, Relation: r.Name, Args: p.slab[start:len(p.slab):len(p.slab)]}, nil
+	return stream.Event{Op: op, Ord: int32(p.ord), Relation: r.Name, Args: p.slab[start:len(p.slab):len(p.slab)]}, nil
 }
 
 // parseField parses one field of a delta line straight from the read

@@ -35,7 +35,7 @@ func referenceParse(cat *schema.Catalog, line string) (ev stream.Event, isDelta 
 		return ev, false, nil
 	}
 	rel, valstr, _ := strings.Cut(rest, " ")
-	r, ok := cat.Relation(rel)
+	r, ord, ok := cat.Lookup(rel)
 	if !ok {
 		return ev, true, fmt.Errorf("unknown relation %q", rel)
 	}
@@ -46,7 +46,7 @@ func referenceParse(cat *schema.Catalog, line string) (ev stream.Event, isDelta 
 	if len(parts) != r.Arity() {
 		return ev, true, fmt.Errorf("%s expects %d values, got %d", rel, r.Arity(), len(parts))
 	}
-	ev.Relation = r.Name
+	ev.Relation, ev.Ord = r.Name, int32(ord)
 	for i, p := range parts {
 		v, err := ParseValue(r.Columns[i].Type, p)
 		if err != nil {
@@ -73,7 +73,8 @@ func codecParse(p *deltaParser, line []byte) (ev stream.Event, isDelta bool, err
 // client renders parses back to the same event, for every kind and the
 // awkward values of each. Differential: on an arbitrary line the byte-level
 // parser and the string-based reference agree on delta-or-not, on the
-// event, and on the error text, whatever relation the parser saw last.
+// event and its catalog ordinal, and on the error text, whatever relation
+// the parser saw last.
 func FuzzDeltaCodec(f *testing.F) {
 	f.Add(int64(0), 0.0, "", false, "INSERT R 1|2")
 	f.Add(int64(math.MinInt64), math.Copysign(0, -1), "x", true, "DELETE R 1|2|3")
@@ -114,7 +115,7 @@ func FuzzDeltaCodec(f *testing.F) {
 			default:
 				// Fields are trimmed on the way in; nothing else may change.
 				ev.Args[2] = types.NewString(strings.TrimSpace(s))
-				if got.Op != ev.Op || got.Relation != ev.Relation || !got.Args.Equal(ev.Args) {
+				if got.Op != ev.Op || got.Relation != ev.Relation || got.Ord != 0 || !got.Args.Equal(ev.Args) {
 					t.Fatalf("rendered %q parsed to %v, want %v", wire, got, ev)
 				}
 			}
@@ -140,9 +141,14 @@ func FuzzDeltaCodec(f *testing.F) {
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("%q: error %v, reference %v", line, gotErr, wantErr)
 			}
-			if gotErr == nil && gotDelta && (got.Op != want.Op || got.Relation != want.Relation || !got.Args.Equal(want.Args)) {
-				t.Fatalf("%q: parsed to %v, reference %v", line, got, want)
+			if gotErr == nil && gotDelta && (got.Op != want.Op || got.Relation != want.Relation || got.Ord != want.Ord || !got.Args.Equal(want.Args)) {
+				t.Fatalf("%q: parsed to %v (ordinal %d), reference %v (ordinal %d)", line, got, got.Ord, want, want.Ord)
 			}
+		}
+		// Whatever the line did to the remembered relation, the next line
+		// on R is stamped with R's ordinal.
+		if got, _, err := codecParse(p, []byte("INSERT R 1|2")); err != nil || got.Ord != 1 {
+			t.Fatalf("INSERT R after %q: ordinal %d, %v; want 1", line, got.Ord, err)
 		}
 	})
 }

@@ -49,6 +49,7 @@ import (
 // both the ingest and server locks, so they observe a quiescent engine set
 // and may replace it.
 type commitReq struct {
+	// evs are admitted against the server's catalog by the session's parser.
 	evs []stream.Event
 	// enc is evs as log records (wal.AppendEventRecord), encoded by the
 	// producer before it queued the request; empty without a WAL.
@@ -97,9 +98,9 @@ func (e *OverloadedError) Error() string {
 		e.PendingEvents, e.Limit, e.RetryAfter.Milliseconds())
 }
 
-// commit queues the session's request — evs, parsed into the request's slab
-// — on the commit lane and returns once the group containing it is durable
-// and applied. This is the only ingest path. The log records are encoded
+// commit queues the session's request — evs, parsed and admitted into the
+// request's slab — on the commit lane and returns once the group containing
+// it is durable and applied. This is the only ingest path. The log records are encoded
 // here, on the connection's goroutine while the values are still in cache,
 // into the session's own buffer: connections encode in parallel, and the
 // leader's serial section is left with numbering, checksumming and writing
@@ -281,7 +282,7 @@ func (s *Server) commitGroup(group []*commitReq) {
 	defer s.mu.Unlock()
 	applied := 0
 	for _, req := range group {
-		req.err = s.reg.OnEventBatch(req.evs)
+		req.err = s.reg.ApplyAdmitted(stream.Admitted{Catalog: s.cat, Events: req.evs})
 		if req.err == nil {
 			s.events += uint64(len(req.evs))
 			applied += len(req.evs)

@@ -346,13 +346,13 @@ func (s *Server) newCatchUp(name string, eng engine.CompiledEngine, after uint64
 
 // advance replays what the log holds past the cursor (before until, when
 // non-zero) and returns how many records that was. Batches hold only events
-// the catalog admits, so the engine ends where record-by-record OnEvent
-// calls would leave it; an engine failure is counted, as a rejection is,
-// and the replay goes on — exactly what live ingest does with a logged
-// event.
+// the catalog admits, applied as admitted, so the engine ends where
+// record-by-record OnEvent calls would leave it; an engine failure is
+// counted, as a rejection is, and the replay goes on — exactly what live
+// ingest does with a logged event.
 func (c *catchUp) advance(log *wal.Manager, until uint64) (uint64, error) {
 	info, err := log.ReplayBatches(&c.cur, until, c.src, func(b *wal.Batch) error {
-		if len(b.Events) > 0 && c.eng.OnEventBatch(b.Events) != nil {
+		if len(b.Events) > 0 && engine.ApplyAdmitted(c.eng, b.Admitted) != nil {
 			c.rejected++
 		}
 		c.rejected += b.Rejected
@@ -380,7 +380,7 @@ func (c *catchUp) advance(log *wal.Manager, until uint64) (uint64, error) {
 func (s *Server) runRecovery() (wal.RecoveryInfo, error) {
 	src := wal.EventSource{Catalog: s.cat, Lifecycle: true}
 	return s.wal.RecoverBatches(s.restoreState, src, func(b *wal.Batch) error {
-		if len(b.Events) > 0 && s.reg.OnEventBatch(b.Events) != nil {
+		if len(b.Events) > 0 && s.reg.ApplyAdmitted(b.Admitted) != nil {
 			s.replayErrs++
 		}
 		s.replayErrs += uint64(b.Rejected)

@@ -10,6 +10,7 @@ import (
 
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/metrics"
+	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/types"
@@ -40,6 +41,39 @@ func snapshotOf(t *testing.T, eng engine.CompiledEngine) string {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// replayPerRecord builds sqlText's engine from s's whole log the way replay
+// worked before batches: ReplayRange, DecodeEvent, OnEvent, one record at a
+// time, rejections ignored.
+func replayPerRecord(t *testing.T, s *Server, sqlText string) engine.CompiledEngine {
+	t.Helper()
+	q, err := engine.Prepare(sqlText, s.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := engine.NewToaster(q, runtime.Options{NoMetrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.wal.ReplayRange(0, 0, func(seq uint64, data []byte) error {
+		if wal.RecordType(data) >= wal.RecRegister {
+			return nil
+		}
+		rel, insert, args, err := wal.DecodeEvent(data)
+		if err != nil {
+			return err
+		}
+		op := stream.Delete
+		if insert {
+			op = stream.Insert
+		}
+		_ = ref.OnEvent(stream.Event{Op: op, Relation: rel, Args: args})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }
 
 func queryEngineOf(t *testing.T, s *Server, name string) engine.CompiledEngine {
@@ -132,6 +166,12 @@ func TestRegisterCatchUpDifferential(t *testing.T) {
 	want := snapshotOf(t, queryEngineOf(t, oracle, "main"))
 	if got != want {
 		t.Fatalf("registered-mid-stream map state differs from boot-time compilation\nhot-swap %d bytes, boot %d bytes", len(got), len(want))
+	}
+	// Reference without admission upstream: the log read back record by
+	// record into a bare engine through OnEvent, which admits each event
+	// itself and finds its trigger by name.
+	if ref := replayPerRecord(t, s, dynLateSQL); snapshotOf(t, ref) != got {
+		t.Fatal("registered-mid-stream map state differs from a per-record OnEvent replay of the log")
 	}
 	if infos := s.reg.Infos(); len(infos) != 2 || infos[1].State != engine.StateLive {
 		t.Fatalf("registry = %+v", infos)
@@ -614,4 +654,90 @@ func BenchmarkRegistryRegister(b *testing.B) {
 		b.ReportMetric(float64(compileNs)/float64(len(lat)), "compile_ns")
 	}
 	b.ReportMetric(float64(history), "catchup_events")
+}
+
+// TestCatchUpEventOrdinalSkipsUntriggeredRelations pins how engines count
+// events — runtime.Engine.Events, which is also the ordinal a chaos
+// failpoint fires at. Ordinals are per engine instance. A boot-time engine
+// counts every event fanned out to it, triggered or not. A catching-up
+// engine counts only the records of relations it has a trigger on, because
+// the log reader passes the others over undecoded, so it runs behind. The
+// engine swapped in at registration is a fresh build and counts from zero.
+func TestCatchUpEventOrdinalSkipsUntriggeredRelations(t *testing.T) {
+	cat := schema.NewCatalog(schema.NewRelation("R", "A:int", "B:int"), schema.NewRelation("S", "C:int"))
+	s, err := NewWithOptions(dynMainSQL, cat, Options{WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	feed := func(rs, ss int) {
+		t.Helper()
+		var evs []stream.Event
+		for i := 0; i < rs; i++ {
+			evs = append(evs, stream.Ins("R", types.NewInt(int64(i)), types.NewInt(int64(i%3))))
+		}
+		for i := 0; i < ss; i++ {
+			evs = append(evs, stream.Ins("S", types.NewInt(int64(i))))
+		}
+		if err := s.applyBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventsOf := func(eng engine.CompiledEngine) uint64 { return eng.(*engine.Toaster).Runtime().Events() }
+	feed(30, 10)
+	if got := eventsOf(queryEngineOf(t, s, "main")); got != 40 {
+		t.Fatalf("boot-time engine counted %d events, want all 40", got)
+	}
+
+	q, err := engine.Prepare(dynMainSQL, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := engine.NewToaster(q, runtime.Options{NoMetrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cu := s.newCatchUp("late", tmp, 0)
+	if _, err := cu.advance(s.wal, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := eventsOf(tmp); got != 30 {
+		t.Fatalf("catching-up engine counted %d events, want the 30 on R (the 10 on S are passed over)", got)
+	}
+	if snapshotOf(t, tmp) != snapshotOf(t, queryEngineOf(t, s, "main")) {
+		t.Fatal("catching-up engine's state differs from the boot-time engine's")
+	}
+
+	if err := s.Register("late", dynMainSQL); err != nil {
+		t.Fatal(err)
+	}
+	feed(5, 5)
+	if got, want := eventsOf(queryEngineOf(t, s, "late")), uint64(10); got != want {
+		t.Fatalf("swapped-in engine counted %d events, want %d: the fan-out's since the swap", got, want)
+	}
+	if got := eventsOf(queryEngineOf(t, s, "main")); got != 50 {
+		t.Fatalf("boot-time engine counted %d events, want 50", got)
+	}
+}
+
+// TestServedCatalogIsSealed: sessions and the log reader stamp events with
+// ordinals of the server's catalog, and every engine's dispatch table is
+// laid out over it, so the catalog a server was built with gains no
+// relations afterwards — Add panics.
+func TestServedCatalogIsSealed(t *testing.T) {
+	cat := dynCatalog()
+	s, err := New(dynMainSQL, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a relation was added to a served catalog")
+		}
+		if len(cat.Relations()) != 1 {
+			t.Fatalf("served catalog holds %d relations, want 1", len(cat.Relations()))
+		}
+	}()
+	cat.Add(schema.NewRelation("S", "C:int"))
 }

@@ -188,6 +188,10 @@ func NewSharded(sqlText string, cat *schema.Catalog, shards int) (*Server, error
 // NewWithOptions compiles the initial query (registered as "main") with
 // full configuration.
 func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server, error) {
+	// Sessions and the log reader stamp events with catalog ordinals that
+	// every engine's dispatch table is laid out over: the served catalog
+	// gains no relations from here on.
+	cat.Seal()
 	// Map sharing requires a single-threaded engine per query: adopted maps
 	// are read without synchronization against the owner's writes, which is
 	// safe only under the one-event-at-a-time fan-out.

@@ -8,6 +8,7 @@ package stream
 import (
 	"fmt"
 
+	"dbtoaster/internal/schema"
 	"dbtoaster/internal/types"
 )
 
@@ -30,9 +31,23 @@ func (o Op) String() string {
 
 // Event is one tuple delta on a base relation.
 type Event struct {
-	Op       Op
+	Op Op
+	// Ord is the relation's catalog ordinal, set by admission and read only
+	// inside an Admitted batch (see schema.Catalog); elsewhere it is ignored.
+	Ord      int32
 	Relation string
 	Args     types.Tuple
+}
+
+// Admitted is a batch of events admitted against Catalog where they entered
+// the system: each event's Relation is the catalog's spelling and Ord its
+// ordinal, and its Args have the relation's arity and column kinds, with
+// ints already widened where the column is float. An engine built over the
+// same catalog applies it with no per-event lookup, check or copy; one built
+// over another catalog resolves each event by name.
+type Admitted struct {
+	Catalog *schema.Catalog
+	Events  []Event
 }
 
 // String renders "+R(1, 2)".

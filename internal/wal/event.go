@@ -110,19 +110,21 @@ func DecodeEvent(b []byte) (rel string, insert bool, args types.Tuple, err error
 type RelationCache struct {
 	Catalog *schema.Catalog
 	last    *schema.Relation
+	lastOrd int
 }
 
-// resolve returns the catalog's relation for name, nil when unknown.
-func (c *RelationCache) resolve(name []byte) *schema.Relation {
+// resolve returns the catalog's relation for name and its ordinal, nil when
+// unknown.
+func (c *RelationCache) resolve(name []byte) (*schema.Relation, int) {
 	if r := c.last; r != nil && string(name) == r.Name {
-		return r
+		return r, c.lastOrd
 	}
-	r, ok := c.Catalog.RelationBytes(name)
+	r, ord, ok := c.Catalog.LookupBytes(name)
 	if !ok {
-		return nil
+		return nil, -1
 	}
-	c.last = r
-	return r
+	c.last, c.lastOrd = r, ord
+	return r, ord
 }
 
 // DecodeEventInto is DecodeEvent for the replay path: the arguments are
@@ -147,7 +149,7 @@ func DecodeEventInto(slab []types.Value, b []byte, rc *RelationCache) (stream.Ev
 	if insert {
 		ev.Op = stream.Insert
 	}
-	if r := rc.resolve(name); r != nil {
+	if r, _ := rc.resolve(name); r != nil {
 		ev.Relation = r.Name
 	} else {
 		ev.Relation = string(name)

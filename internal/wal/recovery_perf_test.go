@@ -14,7 +14,8 @@ import (
 // The replay benchmarks: one body, three readers. Over the same 100k-event
 // log, BenchmarkReplay/per-event is the record-at-a-time loop recovery used
 // to run (ReplayRange's callback, DecodeEvent, OnEvent), /batched is what it
-// runs now (ReplayBatches into OnEventBatch), and /checkpoint+tail recovers
+// runs now (ReplayBatches' admitted batches into engine.ApplyAdmitted), and
+// /checkpoint+tail recovers
 // from a checkpoint taken 5k events before the end — why checkpoints exist.
 // SUITE=registry scripts/bench.sh records them in BENCH_registry.json; the
 // numbers are EXPERIMENTS.md's durability and replay tables.
@@ -43,7 +44,7 @@ func recoverPerEvent(m *wal.Manager, e engine.Engine, _ *engine.Query) (wal.Reco
 
 func recoverBatched(m *wal.Manager, e engine.Engine, q *engine.Query) (wal.RecoveryInfo, error) {
 	return m.RecoverBatches(restoreInto(e), wal.EventSource{Catalog: q.Catalog},
-		func(b *wal.Batch) error { return e.OnEventBatch(b.Events) })
+		func(b *wal.Batch) error { return engine.ApplyAdmitted(e, b.Admitted) })
 }
 
 func BenchmarkReplay(b *testing.B) {

@@ -21,9 +21,10 @@ type EventSource struct {
 	// Catalog resolves relation names and admits events: a record the
 	// catalog rejects (unknown relation, wrong arity, a value of the wrong
 	// kind) is counted in Batch.Rejected and never reaches Events, which is
-	// the outcome of offering it to an engine alone. A batch therefore
-	// holds only events every engine admits, and applying it whole equals
-	// applying its records one by one.
+	// the outcome of offering it to an engine alone. An admitted event is
+	// stamped with its relation's ordinal and has its ints widened where the
+	// column is float, so a batch is a stream.Admitted over Catalog: applying
+	// it whole equals applying its records one by one.
 	Catalog *schema.Catalog
 	// Keep, when non-nil, selects the relations whose events are wanted;
 	// the others are passed over before their arguments are decoded.
@@ -36,10 +37,11 @@ type EventSource struct {
 
 // Batch is a run of consecutive log records decoded for replay.
 type Batch struct {
-	// Events are the admitted events, in log order. Their Args share one
-	// slab allocated for this batch and never reused, so an engine may keep
-	// them; the Events slice itself is only valid during apply.
-	Events []stream.Event
+	// Admitted holds the admitted events, in log order, and the catalog that
+	// admitted them. Their Args share one slab allocated for this batch and
+	// never reused, so an engine may keep them; the Events slice itself is
+	// only valid during apply.
+	stream.Admitted
 	// First and Last are the sequence numbers of the first and last records
 	// the batch covers, passed-over ones included.
 	First, Last uint64
@@ -68,6 +70,7 @@ type Batch struct {
 // collector also wants.
 func (m *Manager) ReplayBatches(cur *Cursor, until uint64, src EventSource, apply func(*Batch) error) (ScanInfo, error) {
 	r := batchReader{src: src, apply: apply, rc: RelationCache{Catalog: src.Catalog}, slabCap: BatchEvents * 4}
+	r.b.Catalog = src.Catalog
 	info, err := m.scan(cur, until, r.add)
 	if err == nil && r.b.First != 0 {
 		err = apply(&r.b)
@@ -96,7 +99,7 @@ func (r *batchReader) emit() error {
 	if err := r.apply(b); err != nil {
 		return err
 	}
-	*b = Batch{Events: b.Events[:0], Lifecycle: b.Lifecycle[:0]}
+	*b = Batch{Admitted: stream.Admitted{Catalog: b.Catalog, Events: b.Events[:0]}, Lifecycle: b.Lifecycle[:0]}
 	return nil
 }
 
@@ -122,7 +125,7 @@ func (r *batchReader) add(seq uint64, data []byte) error {
 		return fmt.Errorf("wal record %d: %w", seq, err)
 	}
 	last := r.rc.last
-	rel := r.rc.resolve(name)
+	rel, ord := r.rc.resolve(name)
 	if rel == nil {
 		b.Rejected++
 		return nil
@@ -146,11 +149,12 @@ func (r *batchReader) add(seq uint64, data []byte) error {
 		b.Rejected++
 		return nil
 	}
+	rel.Widen(args) // once, in place: the slab is the batch's own
 	op := stream.Delete
 	if insert {
 		op = stream.Insert
 	}
-	b.Events = append(b.Events, stream.Event{Op: op, Relation: rel.Name, Args: args})
+	b.Events = append(b.Events, stream.Event{Op: op, Ord: int32(ord), Relation: rel.Name, Args: args})
 	if len(b.Events) == BatchEvents {
 		return r.emit()
 	}

@@ -18,7 +18,8 @@ import (
 )
 
 // The replay differential: streaming batched replay (ReplayBatches feeding
-// OnEventBatch) must leave an engine bitwise where the loop it replaced —
+// each admitted batch to engine.ApplyAdmitted, the catch-up's apply) must
+// leave an engine bitwise where the loop it replaced —
 // ReplayRange, DecodeEvent, OnEvent, one record at a time — leaves it, over
 // random logs that hold everything a real one can: inserts and deletes,
 // string keys, records the catalog rejects, lifecycle records between the
@@ -63,11 +64,11 @@ func decodeRecord(data []byte) (stream.Event, error) {
 	return stream.Event{Op: op, Relation: rel, Args: args}, err
 }
 
-// replayBatched advances cur through the log into eng in batches.
+// replayBatched advances cur through the log into eng in admitted batches.
 func replayBatched(m *wal.Manager, eng engine.Engine, src wal.EventSource, cur *wal.Cursor, until uint64) (wal.ScanInfo, error) {
 	return m.ReplayBatches(cur, until, src, func(b *wal.Batch) error {
 		if len(b.Events) > 0 {
-			_ = eng.OnEventBatch(b.Events)
+			_ = engine.ApplyAdmitted(eng, b.Admitted)
 		}
 		return nil
 	})
@@ -279,7 +280,8 @@ func TestReplayDifferential(t *testing.T) {
 
 // TestReplayBatchesLifecycleOrder: with Lifecycle set, every record of the
 // log is accounted for in order — each lifecycle record delivered with its
-// own sequence number, after exactly the events that precede it.
+// own sequence number, after exactly the events that precede it — and every
+// event arrives admitted.
 func TestReplayBatchesLifecycleOrder(t *testing.T) {
 	cat := replayDiffCatalog()
 	m, err := wal.Open(t.TempDir(), wal.Options{})
@@ -311,6 +313,19 @@ func TestReplayBatchesLifecycleOrder(t *testing.T) {
 		for i := b.First; i < b.First+uint64(b.Records); i++ {
 			if wal.RecordType(recs[i-1]) >= wal.RecRegister {
 				return fmt.Errorf("batch %d..%d holds lifecycle record %d among its events", b.First, b.Last, i)
+			}
+		}
+		// Admitted: stamped with the catalog's ordinal, ints widened to the
+		// column's float.
+		for _, ev := range b.Events {
+			r, ord, _ := cat.Lookup(ev.Relation)
+			if b.Catalog != cat || int(ev.Ord) != ord {
+				return fmt.Errorf("batch %d..%d: %v stamped %d, want ordinal %d of the source catalog", b.First, b.Last, ev, ev.Ord, ord)
+			}
+			for i, v := range ev.Args {
+				if v.Kind() != r.Columns[i].Type {
+					return fmt.Errorf("batch %d..%d: %v column %s is %s, want %s", b.First, b.Last, ev, r.Columns[i].Name, v.Kind(), r.Columns[i].Type)
+				}
 			}
 		}
 		events += len(b.Events)

@@ -33,7 +33,11 @@
 #                                        # plus BenchmarkReplay: the log
 #                                        # replayed record by record, in
 #                                        # batches, and from a checkpoint,
-#                                        # ns and allocs per event)
+#                                        # ns and allocs per event; plus
+#                                        # BenchmarkRegistryFanOut: BATCH
+#                                        # 256 over fanout16_rw's sixteen
+#                                        # queries, dispatched by ordinal
+#                                        # or by name, ns per event)
 #   SUITE=overload scripts/bench.sh      # admission control under 1x/2x/4x
 #                                        # producer load against a bounded
 #                                        # commit backlog
@@ -72,9 +76,9 @@ shards)
     CPUFLAGS="-cpu ${CPUS:-1,2,4,8}"
     ;;
 registry)
-    PATTERN='^(BenchmarkRegistryRegister|BenchmarkReplay)$'
+    PATTERN='^(BenchmarkRegistryRegister|BenchmarkReplay|BenchmarkRegistryFanOut)$'
     OUT="${OUT:-BENCH_registry.json}"
-    PKG="./internal/server ./internal/wal"
+    PKG="./internal/server ./internal/wal ./internal/engine"
     # Each iteration is one full register (compile + WAL catch-up + swap)
     # plus unregister; the hot-path default of 20000 iterations would
     # replay the retained history 20000 times. BENCHTIME still overrides.
@@ -104,7 +108,8 @@ if [ "$SUITE" = registry ]; then
     # mean compile ns, catch-up record count) via b.ReportMetric; parse
     # every "value unit" pair on the result line into a JSON field.
     # The replay benchmark's rows (BenchmarkReplay/<reader>) follow as the
-    # "replay" array.
+    # "replay" array, the fan-out benchmark's (BenchmarkRegistryFanOut/
+    # <contender>) as the "fanout" array.
     printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" '
 function fields(from,    i, unit, out) {
     out = ""
@@ -126,15 +131,22 @@ function fields(from,    i, unit, out) {
     sub(/^BenchmarkReplay\//, "", name)
     replay = replay sprintf("%s\n    {\"reader\": \"%s\", %s}", (replay == "" ? "" : ","), name, fields(3))
 }
+/^BenchmarkRegistryFanOut\// && / ns\/op/ {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    sub(/^BenchmarkRegistryFanOut\//, "", name)
+    fanout = fanout sprintf("%s\n    {\"contender\": \"%s\", %s}", (fanout == "" ? "" : ","), name, fields(3))
+}
 END {
     print "{"
     printf "  \"benchtime\": \"%s\",\n", benchtime
     print register ","
-    print "  \"replay\": [" replay "\n  ]"
+    print "  \"replay\": [" replay "\n  ],"
+    print "  \"fanout\": [" fanout "\n  ]"
     print "}"
 }' > "$OUT"
-    if ! grep -q p99_ns "$OUT" || ! grep -q '"reader": "batched"' "$OUT"; then
-        echo "BENCH_registry.json is missing register-latency percentiles or the replay rows" >&2
+    if ! grep -q p99_ns "$OUT" || ! grep -q '"reader": "batched"' "$OUT" || ! grep -q '"contender": "admitted"' "$OUT"; then
+        echo "BENCH_registry.json is missing register-latency percentiles, the replay rows or the fan-out rows" >&2
         exit 1
     fi
     echo "wrote $OUT"

@@ -82,6 +82,15 @@ echo "== import graph ==" && if go list -deps ./cmd/... | grep -x plugin; then
     echo "a command imports the plugin package" && exit 1
 fi
 
+# Static build: net is the one package dbtserver links that uses cgo, and
+# the pure-Go resolver stands in for it, so the server must build and link
+# with cgo off — and no other dependency may start needing it.
+echo "== static build (CGO_ENABLED=0) ==" && CGO_ENABLED=0 go build -o /dev/null ./cmd/dbtserver
+cgo_users=$(go list -deps -f '{{if .CgoFiles}}{{.ImportPath}}{{end}}' ./cmd/dbtserver | grep -vx 'net\|runtime/cgo' || true)
+if [ -n "$cgo_users" ]; then
+    echo "dbtserver links cgo packages besides net: $cgo_users" && exit 1
+fi
+
 # Qgen differential + fuzz smoke: seeded random queries over the widened
 # SQL surface (AVG, EXISTS/IN, LEFT OUTER JOIN) must agree bitwise across
 # the typed, generic, and sharded engines and the re-evaluating oracle,
