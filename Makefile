@@ -3,20 +3,17 @@
 #   make check   — gofmt gate + build + vet + tests, incl. the frozen
 #                  bench/ harness module (the ROADMAP.md tier-1 gate)
 #   make race    — the same tests under the race detector; required for
-#                  the concurrent sharded runtime (internal/runtime,
-#                  internal/engine, internal/server)
+#                  the concurrent commit lane, catch-up and replay
+#                  (internal/server, internal/wal, internal/engine)
 #   make bench   — the hot-path benchmark harness; writes
 #                  BENCH_hotpath.json (ns/op, B/op, allocs/op) and
 #                  BENCH_registry.json (dynamic-registration latency
 #                  percentiles, compile time, catch-up volume)
-#   make scaling — multi-core scaling curves for the ring-based sharded
-#                  dispatcher at GOMAXPROCS 1/2/4/8; writes
-#                  BENCH_shards.json (ns/op per core count + speedups)
 #   make fuzz    — a short pass over every fuzz target
 
 GO ?= go
 
-.PHONY: all check race bench scaling fuzz
+.PHONY: all check race bench fuzz
 
 all: check race
 
@@ -34,9 +31,6 @@ race:
 bench:
 	scripts/bench.sh
 	SUITE=registry scripts/bench.sh
-
-scaling:
-	SUITE=shards scripts/bench.sh
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzShardedAgreement -fuzztime 10s ./internal/engine

@@ -8,13 +8,12 @@
 //     per-event-type cost (the demo's per-map profiling).
 //   - BenchmarkCompile*/BenchmarkCodegen: §4.2's compile-time profile.
 //   - BenchmarkAblation*: design-choice ablations from DESIGN.md
-//     (closures vs IR interpretation, slice indexes, recursion depth vs
-//     first-order IVM, map sharing).
+//     (slice indexes, typed storage, recursion depth vs first-order IVM,
+//     map sharing).
 package dbtoaster_test
 
 import (
 	"fmt"
-	stdruntime "runtime"
 	"testing"
 
 	"dbtoaster/internal/bakeoff"
@@ -44,8 +43,6 @@ func newBenchEngine(b *testing.B, name, sql string, cat *schema.Catalog) engine.
 	switch name {
 	case "dbtoaster":
 		e, err = engine.NewToaster(q, runtime.Options{})
-	case "dbtoaster-interp":
-		e, err = engine.NewToaster(q, runtime.Options{Interpret: true})
 	case "dbtoaster-noslice":
 		e, err = engine.NewToaster(q, runtime.Options{NoSliceIndex: true})
 	case "dbtoaster-generic":
@@ -221,128 +218,6 @@ func BenchmarkPaperPerEventType(b *testing.B) {
 	}
 }
 
-// --- Sharded runtime (DESIGN.md sharded-runtime section) ---
-
-// shardedBenchEvents builds a bounded R/S stream over a wide B domain so
-// the group-by partitions across many shard-distinct keys.
-func shardedBenchEvents(n int) []stream.Event {
-	out := make([]stream.Event, 0, n)
-	var live []stream.Event
-	for i := 0; len(out) < n; i++ {
-		if i%4 == 3 && len(live) > 200 {
-			old := live[0]
-			live = live[1:]
-			out = append(out, stream.Event{Op: stream.Delete, Relation: old.Relation, Args: old.Args})
-			continue
-		}
-		ev := stream.Event{
-			Op:       stream.Insert,
-			Relation: []string{"R", "S"}[i%2],
-			Args:     types.Tuple{types.NewInt(int64(i % 97)), types.NewInt(int64(i % 4096))},
-		}
-		live = append(live, ev)
-		out = append(out, ev)
-	}
-	for _, ev := range live {
-		out = append(out, stream.Event{Op: stream.Delete, Relation: ev.Relation, Args: ev.Args})
-	}
-	return out
-}
-
-// BenchmarkShardedToaster sweeps shard counts on a fully partitionable
-// join group-by against the single-threaded engine. The Flush barrier is
-// inside the timed region so queued work is paid for, not hidden.
-func BenchmarkShardedToaster(b *testing.B) {
-	const sql = "select R.B, sum(R.A*S.C) from R, S where R.B = S.B group by R.B"
-	events := shardedBenchEvents(12000)
-	b.Run("dbtoaster", func(b *testing.B) {
-		runStream(b, newBenchEngine(b, "dbtoaster", sql, rstCatalog()), events)
-	})
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("sharded-%d", n), func(b *testing.B) {
-			q, err := engine.Prepare(sql, rstCatalog())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh, err := engine.NewShardedToaster(q, n, runtime.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sh.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sh.OnEvent(events[i%len(events)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := sh.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(sh.MemEntries()), "entries")
-		})
-	}
-}
-
-// BenchmarkShardScaling is the multi-core scaling rig for the ring-based
-// dispatcher (SUITE=shards scripts/bench.sh → BENCH_shards.json). Run with
-// `-cpu 1,2,4,8`: each run sets GOMAXPROCS (the `-N` name suffix) and the
-// shard count tracks it, so ns/op across runs is the scaling curve. The
-// producer feeds pre-built event batches straight into the runtime
-// dispatcher — batched admission, no per-event coercion — so the measured
-// path is rings + workers, and Flush sits inside the timed region so
-// queued work is paid for, not hidden.
-func BenchmarkShardScaling(b *testing.B) {
-	cases := []struct{ name, sql string }{
-		{"groupby-sum", "select B, sum(A) from R group by B"},
-		{"join-groupby", "select R.B, sum(R.A*S.C) from R, S where R.B = S.B group by R.B"},
-	}
-	events := shardedBenchEvents(16384)
-	revs := make([]runtime.Event, len(events))
-	for i, ev := range events {
-		revs[i] = runtime.Event{Rel: ev.Relation, Insert: ev.Op == stream.Insert, Args: ev.Args}
-	}
-	const chunk = 256
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			procs := stdruntime.GOMAXPROCS(0)
-			q, err := engine.Prepare(c.sql, rstCatalog())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh, err := engine.NewShardedToaster(q, procs, runtime.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sh.Close()
-			rt := sh.Runtime()
-			b.ReportAllocs()
-			b.ResetTimer()
-			sent := 0
-			for sent < b.N {
-				lo := sent % len(revs)
-				hi := lo + chunk
-				if hi > len(revs) {
-					hi = len(revs)
-				}
-				if hi-lo > b.N-sent {
-					hi = lo + (b.N - sent)
-				}
-				if err := rt.OnEventBatch(revs[lo:hi]); err != nil {
-					b.Fatal(err)
-				}
-				sent += hi - lo
-			}
-			if err := rt.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(procs), "shards")
-		})
-	}
-}
-
 // --- Compile-time profile (§4.2) ---
 
 func BenchmarkCompile(b *testing.B) {
@@ -388,17 +263,6 @@ func BenchmarkCodegen(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md) ---
-
-// BenchmarkAblationClosureVsInterp: compiled closures vs direct IR
-// interpretation — the paper's "eliminating plan interpreter overhead".
-func BenchmarkAblationClosureVsInterp(b *testing.B) {
-	events := rstEvents(9000)
-	for _, name := range []string{"dbtoaster", "dbtoaster-interp"} {
-		b.Run(name, func(b *testing.B) {
-			runStream(b, newBenchEngine(b, name, paperSQL, rstCatalog()), events)
-		})
-	}
-}
 
 // BenchmarkAblationSliceIndex: secondary indexes on foreach loops vs full
 // map scans.

@@ -16,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"dbtoaster/internal/bakeoff"
 	"dbtoaster/internal/orderbook"
@@ -32,28 +30,13 @@ func main() {
 		events   = flag.Int("events", 20000, "events fed to the compiled engine")
 		slowCap  = flag.Int("slowcap", 2000, "event cap for the per-event-reevaluation baselines")
 		seed     = flag.Int64("seed", 1, "workload generator seed")
-		ablation = flag.Bool("ablation", false, "also run interpreter/no-slice ablations")
+		ablation = flag.Bool("ablation", false, "also run the no-slice and generic-storage ablations")
 		sweep    = flag.Bool("sweep", false, "also print throughput-vs-stream-position series")
-		shards   = flag.String("shards", "", "comma-separated shard counts (e.g. 1,2,4,8): run the sharded-runtime sweep and add the largest as a bakeoff contender")
 		batch    = flag.Int("batch", 0, "feed engines in OnEventBatch chunks of this size (0 = per-event)")
 		metrics  = flag.String("metrics-out", "", "instrument the dbtoaster contenders and keep writing steady-state metrics snapshots to this JSON file (e.g. BENCH_metrics.json)")
 		walDir   = flag.String("wal-dir", "", "add the dbtoaster-wal contender (compiled engine with write-ahead logging), keeping its scratch logs under this directory")
 	)
 	flag.Parse()
-
-	var shardCounts []int
-	for _, f := range strings.Split(*shards, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bakeoff: bad -shards value %q\n", f)
-			os.Exit(1)
-		}
-		shardCounts = append(shardCounts, n)
-	}
 
 	type job struct {
 		name    string
@@ -89,10 +72,7 @@ func main() {
 
 	engines := []string{"dbtoaster", "naive-reeval", "first-order-ivm"}
 	if *ablation {
-		engines = append(engines, "dbtoaster-interp", "dbtoaster-noslice", "dbtoaster-generic")
-	}
-	if len(shardCounts) > 0 {
-		engines = append(engines, fmt.Sprintf("dbtoaster-sharded-%d", shardCounts[len(shardCounts)-1]))
+		engines = append(engines, "dbtoaster-noslice", "dbtoaster-generic")
 	}
 	if *walDir != "" {
 		engines = append(engines, "dbtoaster-wal")
@@ -127,14 +107,6 @@ func main() {
 				os.Exit(1)
 			}
 			bakeoff.PrintSweep(os.Stdout, series)
-		}
-		if len(shardCounts) > 0 {
-			rows, err := bakeoff.ShardSweep(j.sql, j.catalog, j.events, shardCounts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bakeoff:", err)
-				os.Exit(1)
-			}
-			bakeoff.PrintShardSweep(os.Stdout, j.sql, rows)
 		}
 		fmt.Println()
 	}

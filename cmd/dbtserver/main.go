@@ -32,7 +32,6 @@ func main() {
 		catName     = flag.String("catalog", "", "built-in catalog: rst, orderbook, tpch")
 		tables      = flag.String("tables", "", "semicolon-separated table specs")
 		addr        = flag.String("addr", "127.0.0.1:7077", "listen address")
-		shards      = flag.Int("shards", 0, "run queries on the sharded runtime with this many shard workers (0 = single-threaded)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json, /trace.json, /debug/vars, and /debug/pprof on this address (empty = no HTTP endpoint)")
 		noMetrics   = flag.Bool("no-metrics", false, "disable instrumentation entirely (METRICS returns ERR)")
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory: log every delta and support CHECKPOINT (empty = no durability)")
@@ -92,7 +91,6 @@ func main() {
 		os.Exit(1)
 	}
 	s, err := server.NewWithOptions(src, cat, server.Options{
-		Shards:          *shards,
 		NoMetrics:       *noMetrics,
 		WALDir:          *walDir,
 		Recover:         *recover,
@@ -125,11 +123,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dbtserver:", err)
 		os.Exit(1)
 	}
-	if *shards > 1 {
-		fmt.Printf("dbtserver: serving %q on %s (%d shards)\n", src, bound, *shards)
-	} else {
-		fmt.Printf("dbtserver: serving %q on %s\n", src, bound)
-	}
+	fmt.Printf("dbtserver: serving %q on %s\n", src, bound)
 	if *metricsAddr != "" {
 		h, err := metrics.Serve(*metricsAddr, s.Sink())
 		if err != nil {

@@ -88,12 +88,6 @@ type options struct {
 	rt runtime.Options
 }
 
-// WithInterpreter executes triggers through the IR interpreter instead of
-// compiled closures (the interpretation-overhead ablation).
-func WithInterpreter() Option {
-	return func(o *options) { o.rt.Interpret = true }
-}
-
 // WithoutSliceIndexes disables secondary indexes on foreach loops (the
 // slice-index ablation; loops degrade to scans).
 func WithoutSliceIndexes() Option {

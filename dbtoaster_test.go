@@ -115,9 +115,8 @@ func TestPublicAPIBaselinesAgree(t *testing.T) {
 
 func TestPublicAPIOptions(t *testing.T) {
 	for _, opts := range [][]dbtoaster.Option{
-		{dbtoaster.WithInterpreter()},
+		{},
 		{dbtoaster.WithoutSliceIndexes()},
-		{dbtoaster.WithInterpreter(), dbtoaster.WithoutSliceIndexes()},
 	} {
 		view, err := dbtoaster.Compile("select sum(R.A) from R, S where R.B = S.B", quickCatalog(), opts...)
 		if err != nil {

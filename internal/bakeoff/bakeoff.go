@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,7 +28,7 @@ type Config struct {
 	SQL     string
 	Catalog *schema.Catalog
 	Events  []stream.Event
-	// Engines filters which engines run ("dbtoaster", "dbtoaster-interp",
+	// Engines filters which engines run ("dbtoaster", "dbtoaster-generic",
 	// "naive-reeval", "first-order-ivm", ...); empty
 	// means the standard trio.
 	Engines []string
@@ -89,9 +88,6 @@ func buildEngine(name string, q *engine.Query, opts runtime.Options) (engine.Eng
 	switch name {
 	case "dbtoaster":
 		return engine.NewToaster(q, opts)
-	case "dbtoaster-interp":
-		opts.Interpret = true
-		return engine.NewToaster(q, opts)
 	case "dbtoaster-noslice":
 		opts.NoSliceIndex = true
 		return engine.NewToaster(q, opts)
@@ -103,32 +99,7 @@ func buildEngine(name string, q *engine.Query, opts runtime.Options) (engine.Eng
 	case "first-order-ivm":
 		return engine.NewIVM(q), nil
 	default:
-		if rest, ok := strings.CutPrefix(name, "dbtoaster-sharded-"); ok {
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bakeoff: bad shard count in engine %q", name)
-			}
-			return engine.NewShardedToaster(q, n, opts)
-		}
 		return nil, fmt.Errorf("bakeoff: unknown engine %q", name)
-	}
-}
-
-// finishEngine drains any queued work so measurements include it, and
-// releases worker goroutines. The returned error surfaces asynchronous
-// failures deferred until the barrier.
-func finishEngine(e engine.Engine) error {
-	if f, ok := e.(interface{ Flush() error }); ok {
-		if err := f.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func closeEngine(e engine.Engine) {
-	if c, ok := e.(interface{ Close() error }); ok {
-		c.Close()
 	}
 }
 
@@ -210,7 +181,11 @@ func Run(cfg Config) (*Report, error) {
 			err error
 		)
 		if name == "dbtoaster-wal" {
-			e, err = buildWALEngine(cfg, q, opts)
+			var w *walEngine
+			if w, err = buildWALEngine(cfg, q, opts); err == nil {
+				defer w.remove()
+				e = w
+			}
 		} else {
 			e, err = buildEngine(name, q, opts)
 		}
@@ -223,11 +198,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 		start := time.Now()
 		if err := feed(e, evs, cfg.Batch); err != nil {
-			closeEngine(e)
-			return nil, fmt.Errorf("bakeoff %s engine %s: %w", cfg.Name, name, err)
-		}
-		if err := finishEngine(e); err != nil {
-			closeEngine(e)
 			return nil, fmt.Errorf("bakeoff %s engine %s: %w", cfg.Name, name, err)
 		}
 		elapsed := time.Since(start)
@@ -256,7 +226,6 @@ func Run(cfg Config) (*Report, error) {
 			ResultOK:  ok,
 			RowsFinal: rowsFinal,
 		})
-		closeEngine(e)
 	}
 	if writer != nil {
 		if err := writer.Stop(); err != nil {

@@ -77,7 +77,7 @@ func TestRunSelectedEngines(t *testing.T) {
 		SQL:     orderbook.QueryBidTurnover,
 		Catalog: orderbook.Catalog(),
 		Events:  evs,
-		Engines: []string{"dbtoaster", "dbtoaster-interp", "dbtoaster-noslice"},
+		Engines: []string{"dbtoaster", "dbtoaster-generic", "dbtoaster-noslice"},
 	})
 	if err != nil {
 		t.Fatal(err)

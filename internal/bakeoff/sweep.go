@@ -62,13 +62,8 @@ func Sweep(sqlText string, cat *schema.Catalog, events []stream.Event, engines [
 			t0 := time.Now()
 			for _, ev := range evs[start:end] {
 				if err := e.OnEvent(ev); err != nil {
-					closeEngine(e)
 					return nil, fmt.Errorf("sweep %s: %w", name, err)
 				}
-			}
-			if err := finishEngine(e); err != nil {
-				closeEngine(e)
-				return nil, fmt.Errorf("sweep %s: %w", name, err)
 			}
 			seg := time.Since(t0)
 			elapsed += seg
@@ -81,7 +76,6 @@ func Sweep(sqlText string, cat *schema.Catalog, events []stream.Event, engines [
 			})
 		}
 		out = append(out, series)
-		closeEngine(e)
 	}
 	return out, nil
 }

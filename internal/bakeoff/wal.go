@@ -55,24 +55,15 @@ func (w *walEngine) OnEventBatch(evs []stream.Event) error {
 	return w.Engine.OnEventBatch(evs)
 }
 
-// Close releases the log and its scratch directory along with the
-// wrapped engine.
-func (w *walEngine) Close() error {
-	err := w.m.Close()
-	if c, ok := w.Engine.(interface{ Close() error }); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if rerr := os.RemoveAll(w.dir); err == nil {
-		err = rerr
-	}
-	return err
+// remove closes the log and deletes its scratch directory.
+func (w *walEngine) remove() {
+	w.m.Close()
+	os.RemoveAll(w.dir)
 }
 
 // buildWALEngine constructs the durable contender: a compiled engine
 // whose ingest path runs through a WAL under cfg.WALDir.
-func buildWALEngine(cfg Config, q *engine.Query, opts runtime.Options) (engine.Engine, error) {
+func buildWALEngine(cfg Config, q *engine.Query, opts runtime.Options) (*walEngine, error) {
 	if cfg.WALDir == "" {
 		return nil, fmt.Errorf("bakeoff: engine dbtoaster-wal requires Config.WALDir")
 	}
@@ -80,10 +71,5 @@ func buildWALEngine(cfg Config, q *engine.Query, opts runtime.Options) (engine.E
 	if err != nil {
 		return nil, err
 	}
-	e, err := newWALEngine(base, cfg.WALDir)
-	if err != nil {
-		closeEngine(base)
-		return nil, err
-	}
-	return e, nil
+	return newWALEngine(base, cfg.WALDir)
 }

@@ -188,7 +188,12 @@ func TestCatchUpAdmittedBatchAllocs(t *testing.T) {
 	}
 	var batch stream.Admitted
 	if _, err := m.ReplayBatches(&wal.Cursor{}, 0, wal.EventSource{Catalog: cat}, func(b *wal.Batch) error {
+		// The batch is kept past apply, so its values are copied out of the
+		// reader's slab, which the next batch overwrites.
 		batch = stream.Admitted{Catalog: b.Catalog, Events: append([]stream.Event(nil), b.Events...)}
+		for i := range batch.Events {
+			batch.Events[i].Args = batch.Events[i].Args.Clone()
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -7,9 +7,7 @@ import "io"
 // sequence number the state covers; it round-trips through the snapshot
 // so recovery knows where log replay resumes.
 type Durable interface {
-	// StateSnapshot writes the engine's complete map state. Engines with
-	// asynchronous dispatch quiesce first, so the snapshot is a consistent
-	// cut across all workers.
+	// StateSnapshot writes the engine's complete map state.
 	StateSnapshot(w io.Writer, watermark uint64) error
 	// StateRestore replaces the engine's map state with a snapshot and
 	// returns its watermark. On error the engine state is untouched.
@@ -23,17 +21,5 @@ func (t *Toaster) StateSnapshot(w io.Writer, watermark uint64) error {
 
 // StateRestore implements Durable.
 func (t *Toaster) StateRestore(r io.Reader) (uint64, error) {
-	return t.rt.RestoreMeta(r)
-}
-
-// StateSnapshot implements Durable: the sharded runtime flushes (the
-// cross-shard quiesce barrier) before scanning, so the snapshot is a
-// consistent cut.
-func (t *ShardedToaster) StateSnapshot(w io.Writer, watermark uint64) error {
-	return t.rt.SnapshotAt(w, watermark)
-}
-
-// StateRestore implements Durable.
-func (t *ShardedToaster) StateRestore(r io.Reader) (uint64, error) {
 	return t.rt.RestoreMeta(r)
 }

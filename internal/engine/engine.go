@@ -204,8 +204,8 @@ type admittedEngine interface {
 }
 
 // ApplyAdmitted applies a batch admitted where it entered — the server's
-// session parser or the WAL reader — to eng: a Toaster or sharded engine
-// takes it without re-admitting it, any other engine through OnEventBatch.
+// session parser or the WAL reader — to eng: a Toaster takes it without
+// re-admitting it, any other engine through OnEventBatch.
 func ApplyAdmitted(eng Engine, b stream.Admitted) error {
 	if a, ok := eng.(admittedEngine); ok {
 		return a.applyAdmitted(b)

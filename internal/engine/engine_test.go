@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dbtoaster/internal/runtime"
@@ -21,8 +22,7 @@ func testCatalog() *schema.Catalog {
 	)
 }
 
-// allEngines builds one of each engine for a query, including sharded
-// variants (closed automatically when the test ends).
+// allEngines builds one of each engine for a query.
 func allEngines(t *testing.T, src string) []Engine {
 	t.Helper()
 	q, err := Prepare(src, testCatalog())
@@ -33,16 +33,7 @@ func allEngines(t *testing.T, src string) []Engine {
 	if err != nil {
 		t.Fatalf("NewToaster(%q): %v", src, err)
 	}
-	engines := []Engine{toaster, NewNaive(q), NewIVM(q)}
-	for _, n := range []int{2, 8} {
-		sh, err := NewShardedToaster(q, n, runtime.Options{})
-		if err != nil {
-			t.Fatalf("NewShardedToaster(%q, %d): %v", src, n, err)
-		}
-		t.Cleanup(func() { sh.Close() })
-		engines = append(engines, sh)
-	}
-	return engines
+	return []Engine{toaster, NewNaive(q), NewIVM(q)}
 }
 
 func feedAll(t *testing.T, engines []Engine, evs []stream.Event) {
@@ -385,7 +376,7 @@ func TestMultiToasterDirect(t *testing.T) {
 
 func TestEngineNames(t *testing.T) {
 	engines := allEngines(t, "select sum(A) from R")
-	want := []string{"dbtoaster", "naive-reeval", "first-order-ivm", "dbtoaster-sharded-2", "dbtoaster-sharded-8"}
+	want := []string{"dbtoaster", "naive-reeval", "first-order-ivm"}
 	for i, e := range engines {
 		if e.Name() != want[i] {
 			t.Errorf("engine %d name = %q, want %q", i, e.Name(), want[i])
@@ -439,6 +430,50 @@ func TestResultStringRendering(t *testing.T) {
 	s := res.String()
 	if s == "" || len(res.Columns) != 2 {
 		t.Errorf("render = %q", s)
+	}
+}
+
+func TestResultStringAlignsColumns(t *testing.T) {
+	res := &Result{
+		Columns: []string{"region", "s", "long_column"},
+		Rows: []types.Tuple{
+			{types.NewString("east"), types.NewInt(1234567), types.NewInt(1)},
+			{types.NewString("w"), types.NewInt(3), types.NewInt(42)},
+		},
+	}
+	got := res.String()
+	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("lines = %d\n%s", len(lines), got)
+	}
+	// Every separator must sit at the same byte offset in every line.
+	idx := func(s string) []int {
+		var out []int
+		for i := 0; i+2 < len(s); i++ {
+			if s[i:i+3] == " | " {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	ref := idx(lines[0])
+	if len(ref) != 2 {
+		t.Fatalf("header separators = %v\n%s", ref, got)
+	}
+	for _, ln := range lines[1:] {
+		cur := idx(ln)
+		if len(cur) != len(ref) {
+			t.Fatalf("separator count mismatch: %v vs %v\n%s", cur, ref, got)
+		}
+		for i := range ref {
+			if cur[i] != ref[i] {
+				t.Errorf("misaligned column %d: offset %d vs %d\n%s", i, cur[i], ref[i], got)
+			}
+		}
+	}
+	// Cells wider than their header stretch the column.
+	if !strings.Contains(lines[0], "region | s       | long_column") {
+		t.Errorf("header = %q", lines[0])
 	}
 }
 

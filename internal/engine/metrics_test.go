@@ -14,9 +14,8 @@ import (
 
 // TestMetricsDifferential pins the observability layer's first law:
 // instrumentation must not change results. For every query in the typed
-// differential lineup, an instrumented engine (and an instrumented sharded
-// engine) must produce map states and results bitwise identical to an
-// uninstrumented one over the same stream.
+// differential lineup, an instrumented engine must produce map states and
+// results bitwise identical to an uninstrumented one over the same stream.
 func TestMetricsDifferential(t *testing.T) {
 	cat, queries := typedDiffQueries()
 	rels := []string{"T0", "T1"}
@@ -39,20 +38,12 @@ func TestMetricsDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ssink := metrics.New()
-				sharded, err := NewShardedToaster(q, 3, runtime.Options{Metrics: ssink, MetricsLabel: "diff"})
-				if err != nil {
-					t.Fatal(err)
-				}
 				for _, ev := range events {
 					if err := plain.OnEvent(ev); err != nil {
 						t.Fatalf("plain OnEvent: %v", err)
 					}
 					if err := instr.OnEvent(ev); err != nil {
 						t.Fatalf("instrumented OnEvent: %v", err)
-					}
-					if err := sharded.OnEvent(ev); err != nil {
-						t.Fatalf("instrumented sharded OnEvent: %v", err)
 					}
 				}
 				if d := diffMapStates(mapState(plain.Runtime()), mapState(instr.Runtime())); d != "" {
@@ -69,14 +60,6 @@ func TestMetricsDifferential(t *testing.T) {
 				if !ref.Equal(got) {
 					t.Fatalf("%q trial %d: instrumented results diverge\nref:\n%s\ngot:\n%s", src, trial, ref, got)
 				}
-				sgot, err := sharded.Results()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ref.Equal(sgot) {
-					t.Fatalf("%q trial %d: instrumented sharded results diverge\nref:\n%s\ngot:\n%s", src, trial, ref, sgot)
-				}
-				sharded.Close()
 
 				// The sink saw the stream: every event that matched a
 				// trigger is in a series, and latency sampling at 1 kept
@@ -97,50 +80,6 @@ func TestMetricsDifferential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMetricsSharded checks the sharded-specific series: the dispatcher
-// records batches and events, and the shared map gauges sum correctly
-// across shard workers.
-func TestMetricsSharded(t *testing.T) {
-	cat := schema.NewCatalog(schema.NewRelation("r", "a:int", "b:int"))
-	q, err := Prepare("select a, sum(b) from r group by a", cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := metrics.New()
-	e, err := NewShardedToaster(q, 4, runtime.Options{Metrics: sink, MetricsLabel: "sh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	const n = 500
-	for i := 0; i < n; i++ {
-		if err := e.OnEvent(stream.Ins("r", types.NewInt(int64(i%16)), types.NewInt(1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f, ok := any(e).(interface{ Flush() error }); ok {
-		if err := f.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := sink.Snapshot()
-	if snap.Events != n {
-		t.Errorf("ingested = %d, want %d", snap.Events, n)
-	}
-	if snap.Shard == nil || snap.Shard.Events == 0 || snap.Shard.Batches == 0 {
-		t.Errorf("shard dispatch = %+v", snap.Shard)
-	}
-	var entries int64
-	for _, m := range snap.Maps {
-		entries += m.Entries
-	}
-	// 16 groups live across the shards (plus any auxiliary map entries);
-	// the gauges must at least account for the result groups.
-	if entries < 16 {
-		t.Errorf("map entry gauges sum to %d, want >= 16", entries)
 	}
 }
 

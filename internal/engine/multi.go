@@ -44,7 +44,7 @@ func NewToasterMulti(queries []*Query, opts runtime.Options) (*MultiToaster, err
 		return nil, err
 	}
 	m := &MultiToaster{
-		viewReader: viewReader{view: engineViews(rt), byQuery: map[*translate.Query]*compiler.QueryInfo{}},
+		viewReader: viewReader{views: rt, byQuery: map[*translate.Query]*compiler.QueryInfo{}},
 		rt:         rt,
 		queries:    queries,
 		compiled:   mc,

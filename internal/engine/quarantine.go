@@ -14,9 +14,9 @@ import (
 // misbehavior — a panicking trigger, a blown size quota, repeated time-
 // budget breaches — must not disturb the other N−1 tenants. The offending
 // query moves to StateQuarantined: skipped by the fan-out, its engine
-// closed and dropped, its name and reason still listed so operators see
-// what happened, and revivable by a fresh REGISTER (which catches up from
-// the retained WAL).
+// dropped, its name and reason still listed so operators see what
+// happened, and revivable by a fresh REGISTER (which catches up from the
+// retained WAL).
 //
 // Quarantine is a side effect, not a request failure: by the time the
 // breach is detected the event batch was durably logged and applied by
@@ -207,7 +207,7 @@ func (r *Registry) fanOut(evs []stream.Event, cat *schema.Catalog) error {
 // runGuarded applies admitted events to one engine behind a panic backstop,
 // accumulating the outcome in p. The runtime's own containment converts
 // trigger panics to *runtime.PanicError; the recover here catches
-// everything above that layer (sharded dispatch).
+// everything above that layer.
 func runGuarded(eng CompiledEngine, b stream.Admitted, timed bool, p *passState) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -225,19 +225,14 @@ func runGuarded(eng CompiledEngine, b stream.Admitted, timed bool, p *passState)
 }
 
 // applyQuarantines demotes the collected casualties under the registry
-// lock, then closes their engines outside it (a sharded engine's Close
-// waits for its workers to drain).
+// lock.
 func (r *Registry) applyQuarantines(cases []quarantineCase) {
-	var closed []CompiledEngine
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, c := range cases {
-		closed = append(closed, r.quarantineLocked(c.ent, c.reason, 0, true, c.corrupt)...)
+		r.quarantineLocked(c.ent, c.reason, 0, true, c.corrupt)
 	}
 	r.rebuildLiveLocked()
-	r.mu.Unlock()
-	for _, eng := range closed {
-		closeEngineQuietly(eng)
-	}
 }
 
 // Quarantine demotes a live query by name (the WAL-replay and test entry
@@ -245,17 +240,13 @@ func (r *Registry) applyQuarantines(cases []quarantineCase) {
 // invokes the hook). lastGood is recorded as-is.
 func (r *Registry) Quarantine(name, reason string, lastGood uint64) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	ent := r.entries[name]
 	if ent == nil || ent.state != StateLive {
-		r.mu.Unlock()
 		return fmt.Errorf("query %q is not live", name)
 	}
-	closed := r.quarantineLocked(ent, reason, lastGood, false, false)
+	r.quarantineLocked(ent, reason, lastGood, false, false)
 	r.rebuildLiveLocked()
-	r.mu.Unlock()
-	for _, eng := range closed {
-		closeEngineQuietly(eng)
-	}
 	return nil
 }
 
@@ -280,8 +271,8 @@ func (r *Registry) InstallQuarantined(name, sql, reason string, fromSeq, lastGoo
 // refs are released; owned maps are promoted to their oldest borrower
 // (exactly like Remove) unless the demotion is corrupt — a mid-event
 // panic may have torn the owned maps, so every borrower reading them is
-// cascaded into quarantine too. Returns the engines to close.
-func (r *Registry) quarantineLocked(root *regEntry, reason string, lastGood uint64, useHook, corrupt bool) (closed []CompiledEngine) {
+// cascaded into quarantine too. The engine is dropped.
+func (r *Registry) quarantineLocked(root *regEntry, reason string, lastGood uint64, useHook, corrupt bool) {
 	type item struct {
 		e       *regEntry
 		reason  string
@@ -350,13 +341,9 @@ func (r *Registry) quarantineLocked(root *regEntry, reason string, lastGood uint
 			}
 		}
 		e.owned = map[string]string{}
-		if e.eng != nil {
-			closed = append(closed, e.eng)
-			e.eng = nil
-		}
+		e.eng = nil
 		e.q = nil
 	}
-	return closed
 }
 
 // borrowersLocked lists the live entries borrowing sig.
@@ -371,10 +358,4 @@ func (r *Registry) borrowersLocked(sig string) []*regEntry {
 		}
 	}
 	return out
-}
-
-func closeEngineQuietly(eng CompiledEngine) {
-	if cl, ok := eng.(interface{ Close() error }); ok {
-		_ = cl.Close()
-	}
 }

@@ -134,7 +134,7 @@ func TestQuarantineReviveAbortRestoresEntry(t *testing.T) {
 	}
 
 	// Remove on a quarantined entry is pure bookkeeping.
-	if _, err := r.Remove("qs"); err != nil {
+	if err := r.Remove("qs"); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range r.Infos() {

@@ -47,9 +47,8 @@ func (e *QuotaExceededError) Error() string {
 
 // footprinter is the cheap cost-accounting surface: engines that can count
 // owned entries/bytes without allocating implement it (Toaster via the
-// runtime). Engines without it — the sharded runtime, whose entry count
-// requires a cross-worker quiesce — are exempt from size quotas rather
-// than paying a flush barrier per event.
+// runtime). Engines without it (the oracles, test fault injectors) are
+// exempt from size quotas.
 type footprinter interface{ OwnedFootprint() (int, uint64) }
 
 func footprintOf(eng Engine) (entries int, bytes uint64, ok bool) {

@@ -95,9 +95,9 @@ const (
 	StateLive
 	StateDraining
 	// StateQuarantined marks a query removed from the fan-out after a
-	// trigger panic or a quota breach. Its engine is
-	// closed and dropped; the entry survives (with the reason) so LIST
-	// stays honest, and a fresh REGISTER under the same name revives it.
+	// trigger panic or a quota breach. Its engine is dropped; the entry
+	// survives (with the reason) so LIST stays honest, and a fresh
+	// REGISTER under the same name revives it.
 	StateQuarantined
 )
 
@@ -138,8 +138,8 @@ type PoolInfo struct {
 	FromSeq uint64
 }
 
-// CompiledEngine is the standing-query surface the registry manages; both
-// the single-threaded Toaster and the sharded variant satisfy it.
+// CompiledEngine is the standing-query surface the registry manages; the
+// Toaster satisfies it.
 type CompiledEngine interface {
 	Engine
 	Compiled() *compiler.Compiled
@@ -176,9 +176,8 @@ type poolEntry struct {
 }
 
 // NewRegistry creates an empty registry. sharing enables cross-query map
-// adoption; it must be off when engines process events concurrently (the
-// sharded runtime), since adopted maps are read without synchronization
-// against the owner's writes.
+// adoption. Every caller passes true; the parameter stays only because the
+// benchmark harness calls NewRegistry(true).
 func NewRegistry(sharing bool) *Registry {
 	return &Registry{
 		sharing:       sharing,
@@ -252,7 +251,7 @@ func sigsOf(prog *ir.Program) map[string]string {
 // every eligible pooled map for adoption and (b) transfers the caught-up
 // engine's own map state into the final build — so the swapped-in engine
 // starts exactly where the private catch-up engine stopped, with metrics
-// attached and sharing applied. Other engine kinds (the sharded runtime)
+// attached and sharing applied. Other engine kinds (test fault injectors)
 // install as-is. fromSeq is the WAL position before which this query saw
 // nothing; opts are the final build's runtime options and are retained for
 // ownership-promotion rebuilds.
@@ -331,30 +330,29 @@ func (r *Registry) Install(name string, q *Query, eng CompiledEngine, fromSeq ui
 }
 
 // Remove unregisters a live query, promoting ownership of any maps it
-// owns in the pool to their oldest borrower. It returns the removed
-// engine so the caller can close it; the last live query is refused
-// (a server must always answer RESULT).
+// owns in the pool to their oldest borrower. The last live query is
+// refused (a server must always answer RESULT).
 //
 // Like Install, Remove must be serialized against event application by
 // the caller: promotion rebuilds a borrower's engine in place.
-func (r *Registry) Remove(name string) (CompiledEngine, error) {
+func (r *Registry) Remove(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ent := r.entries[name]
 	if ent == nil {
-		return nil, fmt.Errorf("unknown query %q", name)
+		return fmt.Errorf("unknown query %q", name)
 	}
 	if ent.state == StateQuarantined {
 		// A quarantined entry holds no engine and no pool stake; removing
 		// it is pure bookkeeping.
 		delete(r.entries, name)
-		return nil, nil
+		return nil
 	}
 	if ent.state != StateLive {
-		return nil, fmt.Errorf("unknown query %q", name)
+		return fmt.Errorf("unknown query %q", name)
 	}
 	if len(r.live) == 1 {
-		return nil, fmt.Errorf("cannot unregister %q: it is the last registered query", name)
+		return fmt.Errorf("cannot unregister %q: it is the last registered query", name)
 	}
 	ent.state = StateDraining
 	for sig := range ent.borrowed {
@@ -373,19 +371,19 @@ func (r *Registry) Remove(name string) (CompiledEngine, error) {
 		b := r.oldestBorrowerLocked(sig)
 		if b == nil {
 			ent.state = StateLive
-			return nil, fmt.Errorf("registry: pool entry %q has %d refs but no borrower", sig, pe.refs)
+			return fmt.Errorf("registry: pool entry %q has %d refs but no borrower", sig, pe.refs)
 		}
 		promote[b] = append(promote[b], sig)
 	}
 	for b, sigsToOwn := range promote {
 		if err := r.promoteLocked(b, sigsToOwn); err != nil {
 			ent.state = StateLive
-			return nil, err
+			return err
 		}
 	}
 	delete(r.entries, name)
 	r.rebuildLiveLocked()
-	return ent.eng, nil
+	return nil
 }
 
 // oldestBorrowerLocked finds the live entry with the smallest registration

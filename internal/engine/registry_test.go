@@ -69,7 +69,7 @@ func TestFanOutOrderFollowsBorrowedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Remove("late"); err != nil {
+	if err := r.Remove("late"); err != nil {
 		t.Fatal(err)
 	}
 	if r.eventMajor {

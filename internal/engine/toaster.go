@@ -8,30 +8,15 @@ import (
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/translate"
-	"dbtoaster/internal/treap"
 	"dbtoaster/internal/types"
 )
 
-// mapView is the read surface result assembly needs from a view map. A
-// *runtime.Map satisfies it directly; the sharded engine satisfies it
-// with a merged view over per-shard storage.
-type mapView interface {
-	Get(key types.Tuple) float64
-	Scan(f func(types.Tuple, float64))
-	Tree() *treap.Tree
-}
-
-// viewReader resolves component values and group enumerations from a map
-// view accessor plus the query→info directory; it backs the single-query
-// Toaster, the shared-program MultiToaster, and the ShardedToaster.
+// viewReader resolves component values and group enumerations from a
+// runtime engine's maps plus the query→info directory; it backs the
+// single-query Toaster and the shared-program MultiToaster.
 type viewReader struct {
-	view    func(name string) mapView
+	views   *runtime.Engine
 	byQuery map[*translate.Query]*compiler.QueryInfo
-}
-
-// engineViews adapts a single runtime engine to the view accessor.
-func engineViews(rt *runtime.Engine) func(string) mapView {
-	return func(name string) mapView { return rt.Map(name) }
 }
 
 // Toaster is the paper's engine: recursively compiled triggers over maps.
@@ -62,19 +47,14 @@ func NewToasterCompiled(q *Query, comp *compiler.Compiled, opts runtime.Options)
 	}
 	rt.BindRelations(relationNames(q.Catalog))
 	t := &Toaster{
-		viewReader: viewReader{view: engineViews(rt), byQuery: map[*translate.Query]*compiler.QueryInfo{}},
+		viewReader: viewReader{views: rt, byQuery: map[*translate.Query]*compiler.QueryInfo{}},
 		rt:         rt,
 		q:          q,
 		compiled:   comp,
 	}
 	t.index(comp.Root)
 	t.name = "dbtoaster"
-	switch {
-	case opts.Interpret && opts.NoSliceIndex:
-		t.name = "dbtoaster-interp-noslice"
-	case opts.Interpret:
-		t.name = "dbtoaster-interp"
-	case opts.NoSliceIndex:
+	if opts.NoSliceIndex {
 		t.name = "dbtoaster-noslice"
 	}
 	return t, nil
@@ -176,7 +156,7 @@ func (t *viewReader) groups(q *translate.Query) ([]types.Tuple, error) {
 	}
 	info := t.byQuery[q]
 	ci := info.Comps[q.ExistsIdx]
-	m := t.view(ci.MapName)
+	m := t.views.Map(ci.MapName)
 	seen := map[types.Key]types.Tuple{}
 	m.Scan(func(tp types.Tuple, _ float64) {
 		g := make(types.Tuple, len(ci.GroupPos))
@@ -203,7 +183,7 @@ func (t *viewReader) groups(q *translate.Query) ([]types.Tuple, error) {
 func (t *viewReader) compValue(q *translate.Query, idx int, group types.Tuple) (types.Value, error) {
 	info := t.byQuery[q]
 	ci := info.Comps[idx]
-	m := t.view(ci.MapName)
+	m := t.views.Map(ci.MapName)
 	kind := q.Components[idx].Kind
 	switch {
 	case ci.Threshold != nil:
@@ -238,7 +218,7 @@ func (t *viewReader) compValue(q *translate.Query, idx int, group types.Tuple) (
 // aggregate: Σ entries whose measure key compares against the subquery's
 // current value.
 func (t *viewReader) thresholdValue(q *translate.Query, ci compiler.CompInfo, group types.Tuple) (types.Value, error) {
-	m := t.view(ci.MapName)
+	m := t.views.Map(ci.MapName)
 	tree := m.Tree()
 	if tree == nil {
 		return types.Null, fmt.Errorf("engine: threshold map %s lacks sorted mirror", ci.MapName)

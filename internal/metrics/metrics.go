@@ -1,7 +1,7 @@
 // Package metrics is the runtime's low-overhead instrumentation layer:
 // per-(relation, event-kind) trigger counters and latency histograms,
-// per-map cardinality gauges, shard-dispatcher batch statistics, and
-// engine uptime/throughput — the observable counterpart of the paper's
+// per-map cardinality gauges, WAL and commit-lane series, and engine
+// uptime/throughput — the observable counterpart of the paper's
 // Figure 4 debugger, built for production streams instead of stepping.
 //
 // Design constraints, in priority order:
@@ -15,9 +15,9 @@
 //     boxing, no time formatting on the hot path. Latency timestamps are
 //     sampled (default 1 in 16 trigger firings) so the two time.Now calls
 //     amortize to ~1-2ns/event.
-//   - Concurrent by construction: shard workers share one Sink, so every
-//     cell is an atomic; per-(relation,op) series merge across workers
-//     without coordination.
+//   - Concurrent by construction: the engines of one server share a Sink
+//     and readers snapshot it while the commit lane records, so every
+//     cell is an atomic.
 //
 // Reading is pull-based: Snapshot() materializes a consistent-enough view
 // (individually atomic reads; cross-series skew is bounded by in-flight
@@ -85,7 +85,7 @@ func (g *Gauge) MaxTo(v int64) {
 // to >=2^(histMinShift+histBuckets-2). With histMinShift=7 and 24 buckets
 // the range is 128ns .. ~1.07s, which covers trigger latencies from the
 // sub-microsecond typed kernels to pathological full-scan statements, and
-// dispatcher batch sizes 1 .. 8M as a unitless distribution.
+// commit group sizes 1 .. 8M as a unitless distribution.
 const (
 	histMinShift = 7
 	histBuckets  = 24
@@ -198,8 +198,10 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 
 // TriggerStats is one (relation, event-kind) series: how many times the
 // trigger fired, how many firings errored, and a sampled latency
-// distribution. Registered once at engine construction; recorded into by
-// every worker that runs the trigger.
+// distribution. Registered once at engine construction. Each event fires
+// at most one trigger per engine, so Snapshot derives the sink-wide event
+// total from the trigger counts without a second per-event atomic on the
+// hot path.
 type TriggerStats struct {
 	Label    string // engine/query scope ("" for unscoped engines)
 	Relation string
@@ -207,42 +209,6 @@ type TriggerStats struct {
 	Count    Counter
 	Errors   Counter
 	Latency  Histogram
-
-	// admission marks series recorded at the engine's admission boundary
-	// (a non-worker engine: each event fires at most one trigger), so
-	// Snapshot can derive the sink-wide event total from trigger counts
-	// without a second per-event atomic on the hot path. Worker-engine
-	// series stay false — their events were already counted by the
-	// dispatcher's Ingested — and a label must not mix worker and
-	// non-worker engines.
-	admission atomic.Bool
-}
-
-// DispatchStats is one sharded-dispatcher series (the shard workers in
-// aggregate, or the global worker): batches handed off, events they
-// carried, the batch-size distribution, the ring queue depth observed at
-// each hand-off, and the backpressure counters — producer stalls against
-// a full ring and consumer parks on an empty one.
-type DispatchStats struct {
-	Batches    Counter
-	Events     Counter
-	BatchSize  Histogram
-	QueueDepth Histogram
-	Stalls     Counter
-	Parks      Counter
-}
-
-// WorkerApplyStats is one shard (or global) worker's batch-apply series:
-// how many batches it executed and the wall-clock latency of each apply.
-// Unlike the sampled per-trigger latencies, every batch is timed — the
-// clock pair amortizes over the whole batch, so the overhead per event is
-// negligible.
-type WorkerApplyStats struct {
-	Label   string // engine/query scope ("" for unscoped engines)
-	Worker  string // "shard-0" .. "shard-N", "global"
-	Batches Counter
-	Events  Counter
-	ApplyNs Histogram
 }
 
 // WALStats is the durability subsystem's series: write-ahead appends,
@@ -320,34 +286,21 @@ type Config struct {
 }
 
 // Sink is the instrumentation registry one engine (or one server hosting
-// several engines) records into. Registration (Trigger, Dispatch, Map)
-// happens at construction time and may allocate; recording through the
+// several engines) records into. Registration (Trigger, Map) happens at construction time and may allocate; recording through the
 // returned handles is atomic and allocation-free.
 type Sink struct {
 	start      time.Time
 	sampleMask uint64
 
-	// Ingested counts events accepted at an explicit admission boundary
-	// that trigger counters cannot account for — the sharded dispatcher,
-	// whose worker engines may each fire on the same event. Single
-	// (non-worker) engines do not touch it; their events are derived from
-	// admission-marked trigger series at snapshot time, keeping the hot
-	// path at one atomic per event.
-	Ingested Counter
-
-	mu        sync.Mutex
-	triggers  []*TriggerStats
-	trigIdx   map[string]*TriggerStats
-	maps      []*MapStats
-	mapIdx    map[string]*MapStats
-	shard     *DispatchStats
-	global    *DispatchStats
-	workers   []*WorkerApplyStats
-	workerIdx map[string]*WorkerApplyStats
-	wal       *WALStats
-	robust    *RobustStats
-	queries   []*QueryStats
-	queryIdx  map[string]*QueryStats
+	mu       sync.Mutex
+	triggers []*TriggerStats
+	trigIdx  map[string]*TriggerStats
+	maps     []*MapStats
+	mapIdx   map[string]*MapStats
+	wal      *WALStats
+	robust   *RobustStats
+	queries  []*QueryStats
+	queryIdx map[string]*QueryStats
 
 	// trace is the structured sample export ring (see query.go); it has
 	// its own lock because records arrive on the sampled hot path.
@@ -370,7 +323,6 @@ func NewWithConfig(cfg Config) *Sink {
 		sampleMask: mask,
 		trigIdx:    map[string]*TriggerStats{},
 		mapIdx:     map[string]*MapStats{},
-		workerIdx:  map[string]*WorkerApplyStats{},
 		queryIdx:   map[string]*QueryStats{},
 	}
 }
@@ -399,19 +351,9 @@ func trigKey(label, rel string, insert bool) string {
 }
 
 // Trigger registers (or returns the existing) series for one
-// (label, relation, event-kind) recorded at an engine's admission
-// boundary: its counts contribute to the sink-wide event total.
+// (label, relation, event-kind); its counts contribute to the sink-wide
+// event total.
 func (s *Sink) Trigger(label, rel string, insert bool) *TriggerStats {
-	t := s.WorkerTrigger(label, rel, insert)
-	t.admission.Store(true)
-	return t
-}
-
-// WorkerTrigger is Trigger for engines owned by a sharded dispatcher:
-// the workers share the series with each other, but their counts do not
-// feed the event total (the dispatcher's Ingested already counted the
-// event, possibly once per worker kind).
-func (s *Sink) WorkerTrigger(label, rel string, insert bool) *TriggerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := trigKey(label, rel, insert)
@@ -436,42 +378,6 @@ func (s *Sink) Map(label, name, layout string) *MapStats {
 	s.mapIdx[k] = m
 	s.maps = append(s.maps, m)
 	return m
-}
-
-// ShardDispatch returns the shard-worker dispatch series (created on first
-// use).
-func (s *Sink) ShardDispatch() *DispatchStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shard == nil {
-		s.shard = &DispatchStats{}
-	}
-	return s.shard
-}
-
-// GlobalDispatch returns the global-worker dispatch series.
-func (s *Sink) GlobalDispatch() *DispatchStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.global == nil {
-		s.global = &DispatchStats{}
-	}
-	return s.global
-}
-
-// WorkerApply registers (or returns the existing) batch-apply series for
-// one worker of a sharded engine.
-func (s *Sink) WorkerApply(label, worker string) *WorkerApplyStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := label + "\x00" + worker
-	if w, ok := s.workerIdx[k]; ok {
-		return w
-	}
-	w := &WorkerApplyStats{Label: label, Worker: worker}
-	s.workerIdx[k] = w
-	s.workers = append(s.workers, w)
-	return w
 }
 
 // WAL returns the sink's durability series (created on first use).
@@ -504,11 +410,9 @@ func (s *Sink) Reset() {
 	s.mu.Lock()
 	triggers := append([]*TriggerStats(nil), s.triggers...)
 	maps := append([]*MapStats(nil), s.maps...)
-	workers := append([]*WorkerApplyStats(nil), s.workers...)
-	shard, global, wal, robust := s.shard, s.global, s.wal, s.robust
+	wal, robust := s.wal, s.robust
 	s.start = time.Now()
 	s.mu.Unlock()
-	s.Ingested.Reset()
 	for _, t := range triggers {
 		t.Count.Reset()
 		t.Errors.Reset()
@@ -523,22 +427,6 @@ func (s *Sink) Reset() {
 	s.trace.mu.Lock()
 	s.trace.buf = [TraceRingSize]TraceEvent{}
 	s.trace.mu.Unlock()
-	for _, w := range workers {
-		w.Batches.Reset()
-		w.Events.Reset()
-		w.ApplyNs.Reset()
-	}
-	for _, d := range []*DispatchStats{shard, global} {
-		if d == nil {
-			continue
-		}
-		d.Batches.Reset()
-		d.Events.Reset()
-		d.BatchSize.Reset()
-		d.QueueDepth.Reset()
-		d.Stalls.Reset()
-		d.Parks.Reset()
-	}
 	if wal != nil {
 		wal.Appends.Reset()
 		wal.AppendedBytes.Reset()
@@ -587,26 +475,6 @@ type MapSnapshot struct {
 	ApproxBytes uint64 `json:"approx_bytes"`
 }
 
-// DispatchSnapshot is one dispatcher series at a point in time.
-type DispatchSnapshot struct {
-	Batches    uint64            `json:"batches"`
-	Events     uint64            `json:"events"`
-	BatchSize  HistogramSnapshot `json:"batch_size"`
-	QueueDepth HistogramSnapshot `json:"queue_depth"`
-	Stalls     uint64            `json:"stalls"`
-	Parks      uint64            `json:"parks"`
-}
-
-// WorkerApplySnapshot is one worker's batch-apply series at a point in
-// time.
-type WorkerApplySnapshot struct {
-	Label   string            `json:"label,omitempty"`
-	Worker  string            `json:"worker"`
-	Batches uint64            `json:"batches"`
-	Events  uint64            `json:"events"`
-	ApplyNs HistogramSnapshot `json:"apply_ns"`
-}
-
 // WALSnapshot is the durability series at a point in time.
 type WALSnapshot struct {
 	Appends         uint64            `json:"appends"`
@@ -647,34 +515,17 @@ type HeapSnapshot struct {
 
 // Snapshot is a full, serializable view of a Sink.
 type Snapshot struct {
-	TakenAt        time.Time             `json:"taken_at"`
-	UptimeSeconds  float64               `json:"uptime_seconds"`
-	Events         uint64                `json:"events_total"`
-	EventsPerSec   float64               `json:"events_per_sec"`
-	SampleInterval uint64                `json:"latency_sample_interval"`
-	Triggers       []TriggerSnapshot     `json:"triggers"`
-	Maps           []MapSnapshot         `json:"maps"`
-	Shard          *DispatchSnapshot     `json:"shard_dispatch,omitempty"`
-	Global         *DispatchSnapshot     `json:"global_dispatch,omitempty"`
-	Workers        []WorkerApplySnapshot `json:"worker_apply,omitempty"`
-	WAL            *WALSnapshot          `json:"wal,omitempty"`
-	Robust         *RobustSnapshot       `json:"robust,omitempty"`
-	Queries        []QuerySnapshot       `json:"queries,omitempty"`
-	Heap           HeapSnapshot          `json:"heap"`
-}
-
-func dispatchSnap(d *DispatchStats) *DispatchSnapshot {
-	if d == nil {
-		return nil
-	}
-	return &DispatchSnapshot{
-		Batches:    d.Batches.Load(),
-		Events:     d.Events.Load(),
-		BatchSize:  d.BatchSize.Snapshot(),
-		QueueDepth: d.QueueDepth.Snapshot(),
-		Stalls:     d.Stalls.Load(),
-		Parks:      d.Parks.Load(),
-	}
+	TakenAt        time.Time         `json:"taken_at"`
+	UptimeSeconds  float64           `json:"uptime_seconds"`
+	Events         uint64            `json:"events_total"`
+	EventsPerSec   float64           `json:"events_per_sec"`
+	SampleInterval uint64            `json:"latency_sample_interval"`
+	Triggers       []TriggerSnapshot `json:"triggers"`
+	Maps           []MapSnapshot     `json:"maps"`
+	WAL            *WALSnapshot      `json:"wal,omitempty"`
+	Robust         *RobustSnapshot   `json:"robust,omitempty"`
+	Queries        []QuerySnapshot   `json:"queries,omitempty"`
+	Heap           HeapSnapshot      `json:"heap"`
 }
 
 // Snapshot materializes the sink's current state. Each cell is read
@@ -686,28 +537,24 @@ func (s *Sink) Snapshot() *Snapshot {
 	up := now.Sub(s.start).Seconds()
 	triggers := append([]*TriggerStats(nil), s.triggers...)
 	maps := append([]*MapStats(nil), s.maps...)
-	workers := append([]*WorkerApplyStats(nil), s.workers...)
 	queries := append([]*QueryStats(nil), s.queries...)
-	shard, global, wal, robust := s.shard, s.global, s.wal, s.robust
+	wal, robust := s.wal, s.robust
 	s.mu.Unlock()
 	snap := &Snapshot{
 		TakenAt:        now,
 		UptimeSeconds:  up,
 		SampleInterval: s.sampleMask + 1,
 	}
-	// The event total: the dispatcher-counted events plus the trigger
-	// counts of admission-boundary series (each event fires at most one
-	// such trigger).
-	events := s.Ingested.Load()
+	// The event total: the trigger counts (each event fires at most one
+	// trigger per engine).
+	var events uint64
 	for _, t := range triggers {
 		op := "delete"
 		if t.Insert {
 			op = "insert"
 		}
 		count := t.Count.Load()
-		if t.admission.Load() {
-			events += count
-		}
+		events += count
 		snap.Triggers = append(snap.Triggers, TriggerSnapshot{
 			Label:    t.Label,
 			Relation: t.Relation,
@@ -747,24 +594,6 @@ func (s *Sink) Snapshot() *Snapshot {
 			return a.Label < b.Label
 		}
 		return a.Name < b.Name
-	})
-	snap.Shard = dispatchSnap(shard)
-	snap.Global = dispatchSnap(global)
-	for _, w := range workers {
-		snap.Workers = append(snap.Workers, WorkerApplySnapshot{
-			Label:   w.Label,
-			Worker:  w.Worker,
-			Batches: w.Batches.Load(),
-			Events:  w.Events.Load(),
-			ApplyNs: w.ApplyNs.Snapshot(),
-		})
-	}
-	sort.Slice(snap.Workers, func(i, j int) bool {
-		a, b := snap.Workers[i], snap.Workers[j]
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return a.Worker < b.Worker
 	})
 	for _, q := range queries {
 		snap.Queries = append(snap.Queries, QuerySnapshot{
@@ -845,29 +674,6 @@ func (s *Snapshot) Lines() []string {
 	for _, q := range s.Queries {
 		out = append(out, fmt.Sprintf("query %s compile_seconds=%.6f catchup_events=%d",
 			q.Label, q.CompileSeconds, q.CatchupEvents))
-	}
-	writeDispatch := func(kind string, d *DispatchSnapshot) {
-		if d == nil {
-			return
-		}
-		out = append(out, fmt.Sprintf(
-			"dispatch %s batches=%d events=%d batch_p50=%d batch_p99=%d queue_p50=%d queue_p99=%d stalls=%d parks=%d",
-			kind, d.Batches, d.Events,
-			d.BatchSize.Quantile(0.50), d.BatchSize.Quantile(0.99),
-			d.QueueDepth.Quantile(0.50), d.QueueDepth.Quantile(0.99),
-			d.Stalls, d.Parks))
-	}
-	writeDispatch("shard", s.Shard)
-	writeDispatch("global", s.Global)
-	for _, w := range s.Workers {
-		label := w.Label
-		if label == "" {
-			label = "-"
-		}
-		out = append(out, fmt.Sprintf(
-			"apply %s %s batches=%d events=%d apply_mean_ns=%.0f apply_p50_ns=%d apply_p99_ns=%d",
-			label, w.Worker, w.Batches, w.Events,
-			w.ApplyNs.Mean(), w.ApplyNs.Quantile(0.50), w.ApplyNs.Quantile(0.99)))
 	}
 	if w := s.WAL; w != nil {
 		out = append(out, fmt.Sprintf(

@@ -18,14 +18,13 @@ func TestSinkReset(t *testing.T) {
 	m := s.Map("main", "q", "int1")
 	m.Entries.Set(7)
 	m.Peak.MaxTo(9)
-	w := s.WorkerApply("main", "shard-0")
-	w.Batches.Inc()
-	w.Events.Add(3)
-	w.ApplyNs.Observe(250)
 	wal := s.WAL()
 	wal.Appends.Add(4)
 	wal.Checkpoints.Inc()
 	wal.SyncNs.Observe(50)
+	robust := s.Robust()
+	robust.ShedRequests.Add(2)
+	robust.Quarantines.Inc()
 
 	s.Reset()
 	snap := s.Snapshot()
@@ -39,11 +38,11 @@ func TestSinkReset(t *testing.T) {
 	if len(snap.Maps) != 1 || snap.Maps[0].Entries != 7 || snap.Maps[0].Peak != 7 {
 		t.Errorf("Maps after Reset = %+v", snap.Maps)
 	}
-	if len(snap.Workers) != 1 || snap.Workers[0].Batches != 0 || snap.Workers[0].ApplyNs.Count != 0 {
-		t.Errorf("Workers after Reset = %+v", snap.Workers)
-	}
 	if snap.WAL == nil || snap.WAL.Appends != 0 || snap.WAL.Checkpoints != 0 || snap.WAL.SyncNs.Count != 0 {
 		t.Errorf("WAL after Reset = %+v", snap.WAL)
+	}
+	if snap.Robust == nil || snap.Robust.ShedRequests != 0 || snap.Robust.Quarantines != 0 {
+		t.Errorf("Robust after Reset = %+v", snap.Robust)
 	}
 
 	// The series are still wired: recording after Reset shows up.
@@ -55,14 +54,11 @@ func TestSinkReset(t *testing.T) {
 	}
 }
 
-// TestWorkerAndWALLines: the textual METRICS rendering includes the
-// per-worker apply series and the WAL series.
-func TestWorkerAndWALLines(t *testing.T) {
+// TestWALAndRobustLines: the textual METRICS rendering includes the WAL
+// and the overload/failure-isolation series.
+func TestWALAndRobustLines(t *testing.T) {
 	s := New()
-	w := s.WorkerApply("main", "global")
-	w.Batches.Inc()
-	w.Events.Add(2)
-	w.ApplyNs.Observe(1000)
+	s.Robust().Quarantines.Inc()
 	wal := s.WAL()
 	wal.Appends.Add(3)
 	wal.AppendedBytes.Add(64)
@@ -71,7 +67,7 @@ func TestWorkerAndWALLines(t *testing.T) {
 	wal.CheckpointBytes.Add(128)
 
 	text := strings.Join(s.Snapshot().Lines(), "\n")
-	for _, want := range []string{"apply main global", "batches=1", "wal appends=3", "checkpoints=1"} {
+	for _, want := range []string{"wal appends=3", "checkpoints=1", "robust shed_requests=0", "quarantines=1"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Lines missing %q in:\n%s", want, text)
 		}

@@ -11,41 +11,36 @@ import (
 )
 
 // buildEngines constructs the engine panel for one query: the recursively
-// compiled engine over typed and untyped storage, the 3-shard parallel
-// engine, and the re-evaluating Volcano baseline as the semantic oracle.
-func buildEngines(src string) ([]engine.Engine, func(), error) {
+// compiled engine over typed and untyped storage, and the re-evaluating
+// Volcano baseline as the semantic oracle.
+func buildEngines(src string) ([]engine.Engine, error) {
 	q, err := engine.Prepare(src, qgen.Catalog())
 	if err != nil {
-		return nil, nil, fmt.Errorf("prepare: %w", err)
+		return nil, fmt.Errorf("prepare: %w", err)
 	}
 	typed, err := engine.NewToaster(q, runtime.Options{})
 	if err != nil {
-		return nil, nil, fmt.Errorf("toaster: %w", err)
+		return nil, fmt.Errorf("toaster: %w", err)
 	}
 	untyped, err := engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
 	if err != nil {
-		return nil, nil, fmt.Errorf("untyped toaster: %w", err)
-	}
-	sharded, err := engine.NewShardedToaster(q, 3, runtime.Options{})
-	if err != nil {
-		return nil, nil, fmt.Errorf("sharded toaster: %w", err)
+		return nil, fmt.Errorf("untyped toaster: %w", err)
 	}
 	oracle := engine.NewNaive(q)
 	// The generated Go is checked against the compiled engine by
 	// TestNativeQgenDifferential in internal/engine, over a fixed seed set:
 	// every distinct query costs a `go build`.
-	return []engine.Engine{typed, untyped, sharded, oracle}, func() { sharded.Close() }, nil
+	return []engine.Engine{typed, untyped, oracle}, nil
 }
 
 // runDifferential feeds the trace to every engine and requires bitwise
 // result agreement at checkpoints and at the end.
 func runDifferential(t *testing.T, seed int64, src string, evs []stream.Event, checkEvery int) {
 	t.Helper()
-	engines, closeFn, err := buildEngines(src)
+	engines, err := buildEngines(src)
 	if err != nil {
 		t.Fatalf("seed %d: %q: %v", seed, src, err)
 	}
-	defer closeFn()
 	for i, ev := range evs {
 		for _, e := range engines {
 			if err := e.OnEvent(ev); err != nil {
@@ -116,11 +111,10 @@ func FuzzQueryAgreement(f *testing.F) {
 		g := qgen.New(seed)
 		src := g.Query()
 		evs := g.Trace(int(n%64) + 4)
-		engines, closeFn, err := buildEngines(src)
+		engines, err := buildEngines(src)
 		if err != nil {
 			t.Fatalf("seed %d: %q: %v", seed, src, err)
 		}
-		defer closeFn()
 		for _, ev := range evs {
 			for _, e := range engines {
 				if err := e.OnEvent(ev); err != nil {

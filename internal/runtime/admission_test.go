@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbtoaster/internal/ir"
 	"dbtoaster/internal/types"
 )
 
@@ -11,7 +12,8 @@ import (
 // whose value kind contradicts the trigger's declared column kind must be
 // rejected with an error at admission — never a panic from the packed-key
 // encoder deeper in the engine — and the engine must stay usable. The
-// check must hold on every physical layer (typed, generic, interpreted).
+// check must hold on every physical layer (typed, generic) and under the
+// debugger's statement wrapper.
 func TestAdmissionKindMismatch(t *testing.T) {
 	cat := rstCatalog()
 	c := compileSQL(t, cat, "select A, sum(B) from R group by A")
@@ -21,7 +23,7 @@ func TestAdmissionKindMismatch(t *testing.T) {
 	}{
 		{"typed", Options{}},
 		{"generic", Options{NoTypedStorage: true}},
-		{"interp", Options{Interpret: true}},
+		{"wrapped", Options{StmtWrapper: func(_ *ir.Stmt, run func()) { run() }}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := NewEngine(c.Program, tc.opts)
@@ -64,39 +66,5 @@ func TestAdmissionArityMismatch(t *testing.T) {
 	err = eng.OnEvent("R", true, types.Tuple{types.NewInt(1)})
 	if err == nil || !strings.Contains(err.Error(), "expects 2 args") {
 		t.Fatalf("arity error = %v", err)
-	}
-}
-
-// TestShardedAdmission: the sharded runtime validates on the producer's
-// call, so malformed events come back as synchronous errors instead of
-// poisoning a worker, and the workers keep processing afterwards.
-func TestShardedAdmission(t *testing.T) {
-	cat := rstCatalog()
-	c := compileSQL(t, cat, "select A, sum(B) from R group by A")
-	s, err := NewShardedEngine(c.Program, ShardOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.OnEvent("R", true, types.Tuple{types.NewString("boom"), types.NewInt(1)}); err == nil {
-		t.Fatal("sharded: string into int column accepted")
-	} else if !strings.Contains(err.Error(), "expects int") {
-		t.Errorf("sharded kind error = %v", err)
-	}
-	if err := s.OnEvent("R", true, types.Tuple{types.NewInt(1)}); err == nil {
-		t.Fatal("sharded: wrong arity accepted")
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.OnEvent("R", true, types.Tuple{types.NewInt(int64(i % 2)), types.NewInt(1)}); err != nil {
-			t.Fatalf("sharded engine unusable after rejected events: %v", err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Events() counts admission attempts (matching the single engine's
-	// counter): 2 rejected + 10 applied.
-	if got := s.Events(); got != 12 {
-		t.Errorf("events = %d, want 12", got)
 	}
 }

@@ -11,18 +11,15 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// Options selects execution strategy; both default to the fast path.
+// Options selects execution strategy; the zero value is the fast path.
 type Options struct {
-	// Interpret executes the IR tree directly instead of pre-compiled
-	// closures (ablation: query-plan-interpretation overhead).
-	Interpret bool
 	// NoSliceIndex disables secondary indexes: foreach loops scan the
 	// whole map and filter (ablation: asymptotic cost of slices).
 	NoSliceIndex bool
-	// StmtWrapper, when set (implies Interpret), is called around every
-	// statement execution; run() performs the statement. The debugger uses
-	// it for stepping and map-diff tracing.
-	StmtWrapper func(stmt *ir.Stmt, run func() error) error
+	// StmtWrapper, when set, is called around every compiled statement;
+	// run() executes it. The debugger uses it for stepping and map-diff
+	// tracing.
+	StmtWrapper func(stmt *ir.Stmt, run func())
 	// NoTypedStorage forces generic map storage and boxed closures even
 	// for programs whose type annotations would allow packed int keys and
 	// unboxed kernels (ablation and differential baseline).
@@ -38,8 +35,7 @@ type Options struct {
 	// MetricsLabel scopes this engine's series inside a shared sink (e.g.
 	// the query name when one server hosts several engines). Engines that
 	// share a sink, a label, and map names also share gauges, so a
-	// (sink, label) pair should describe one logical engine — the sharded
-	// runtime exploits this to merge its workers' series.
+	// (sink, label) pair should describe one logical engine.
 	MetricsLabel string
 	// MapSource, when non-nil, supplies pre-built map instances at engine
 	// construction instead of fresh empty ones — the mechanism behind both
@@ -54,10 +50,6 @@ type Options struct {
 	// fresh map; a declined Transfer on a converged build is an error,
 	// since silently dropping its state would be data loss.
 	MapSource func(name string) SourcedMap
-	// worker marks engines owned by a sharded dispatcher: they record
-	// trigger and map series into the shared sink but not admission
-	// counts, which the dispatcher already counted.
-	worker bool
 }
 
 // SourcedMap is one MapSource offer; nil fields mean no candidate.
@@ -89,13 +81,8 @@ type Engine struct {
 	table []*compiledTrigger
 	bound int
 	// ords resolves a relation name, as spelled or lowercased, to its
-	// ordinal; only OnEvent and OnEventBatch consult it.
-	ords map[string]int
-	// ikey and ibound are the interpreter's pooled key/bound buffers (one
-	// bound buffer per loop depth), keeping the ablation path comparable to
-	// the closures' compile-time buffers.
-	ikey   types.Tuple
-	ibound []types.Tuple
+	// ordinal; only OnEvent consults it.
+	ords   map[string]int
 	events uint64
 	// demote collects packed maps that typed compilation could not prove
 	// safe; non-empty after construction means NewEngine must rebuild.
@@ -122,9 +109,8 @@ type compiledTrigger struct {
 	// already runs. Every statement is still compiled — typed-mode demote
 	// decisions must not depend on who owns a map — and then dropped here.
 	stmts []*ir.Stmt
-	fns   []stmtFn // closure mode, parallel to stmts
-	env   *cenv    // reusable environment (closure mode)
-	ienv  map[string]types.Value
+	fns   []stmtFn // parallel to stmts
+	env   *cenv    // reusable environment
 	slots map[string]int
 	// checks validate (and, when slot >= 0, unbox) trigger parameters at
 	// event entry. Typed mode uses them to license unboxed kernels; both
@@ -145,8 +131,7 @@ type cenv struct {
 
 type stmtFn func(env *cenv)
 
-// NewEngine builds maps, slice indexes, and (unless interpreting) the
-// per-trigger closures.
+// NewEngine builds maps, slice indexes, and the per-trigger closures.
 //
 // When the program carries type annotations (ir.InferTypes) and no option
 // forces the generic path, maps with all-int keys of arity 1 to 4 use
@@ -178,12 +163,6 @@ func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("runtime: typed compilation failed to converge (demoted: %v)", e.demote)
 		}
 	}
-}
-
-// typedMode reports whether typed storage and kernels apply: the boxed
-// interpreter paths (ablation and debugger) require generic maps.
-func (o Options) typedMode() bool {
-	return !o.NoTypedStorage && !o.Interpret && o.StmtWrapper == nil
 }
 
 // mapLayout selects a map's physical layout: packed storage requires every
@@ -223,7 +202,7 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 		sink:    opts.sink(),
 		adopted: map[string]bool{},
 	}
-	typed := opts.typedMode()
+	typed := !opts.NoTypedStorage
 	if typed {
 		e.intPos = guaranteedIntPositions(prog)
 	}
@@ -291,13 +270,7 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 			return nil, err
 		}
 		if e.sink != nil {
-			if opts.worker {
-				// Dispatcher-owned workers share series but must not feed
-				// the event total: the dispatcher counts admission.
-				ct.stats = e.sink.WorkerTrigger(opts.MetricsLabel, t.Relation, t.Insert)
-			} else {
-				ct.stats = e.sink.Trigger(opts.MetricsLabel, t.Relation, t.Insert)
-			}
+			ct.stats = e.sink.Trigger(opts.MetricsLabel, t.Relation, t.Insert)
 		}
 		e.triggers = append(e.triggers, ct)
 	}
@@ -535,55 +508,15 @@ func (e *Engine) fire(ct *compiledTrigger, args types.Tuple) (err error) {
 			ct.env.floats[pc.slot] = v.Float()
 		}
 	}
-	if e.opts.Interpret || e.opts.StmtWrapper != nil {
-		for i, p := range ct.trig.Params {
-			ct.ienv[p] = args[i]
-		}
-		for _, s := range ct.stmts {
-			s := s
-			run := func() error { return e.interpStmt(s, ct.ienv) }
-			var err error
-			if e.opts.StmtWrapper != nil {
-				err = e.opts.StmtWrapper(s, run)
-			} else {
-				err = run()
-			}
-			if err != nil {
-				return err
-			}
+	copy(ct.env.slots, args)
+	if wrap := e.opts.StmtWrapper; wrap != nil {
+		for i, fn := range ct.fns {
+			wrap(ct.stmts[i], func() { fn(ct.env) })
 		}
 		return nil
 	}
-	copy(ct.env.slots, args)
 	for _, fn := range ct.fns {
 		fn(ct.env)
-	}
-	return nil
-}
-
-// Event is one base-relation delta in the runtime's native form; batched
-// ingestion hands slices of these through the engines and the sharded
-// dispatcher.
-type Event struct {
-	Rel    string
-	Insert bool
-	Args   types.Tuple
-}
-
-// OnEventBatch applies a batch of deltas in order. It is semantically
-// identical to calling OnEvent per element, but resolves the trigger once
-// per run of equal (Rel, Insert) instead of hashing the relation name for
-// every event — bulk loads are long runs of one relation.
-func (e *Engine) OnEventBatch(evs []Event) error {
-	var ct *compiledTrigger
-	for i := range evs {
-		ev := &evs[i]
-		if i == 0 || ev.Insert != evs[i-1].Insert || ev.Rel != evs[i-1].Rel {
-			ct = e.trigger(ev.Rel, ev.Insert)
-		}
-		if err := e.apply(ct, ev.Args); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -601,7 +534,7 @@ func boundPositions(lp ir.Loop) []int {
 // --- Closure compilation ---
 
 func (e *Engine) compileTrigger(t *ir.Trigger) (*compiledTrigger, error) {
-	ct := &compiledTrigger{trig: t, ienv: make(map[string]types.Value)}
+	ct := &compiledTrigger{trig: t}
 	// Slot 0..n-1: parameters. Loop variables get per-statement slots
 	// above the parameter block; statements never share loop variables.
 	slots := map[string]int{}
@@ -914,158 +847,4 @@ func (e *Engine) compileExpr(x ir.Expr, slots map[string]int) (valFn, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("runtime: unknown expression %T", x)
-}
-
-// --- IR interpreter (ablation path) ---
-
-func (e *Engine) interpStmt(s *ir.Stmt, env map[string]types.Value) error {
-	return e.interpLoops(s, s.Loops, env, 0)
-}
-
-func (e *Engine) interpLoops(s *ir.Stmt, loops []ir.Loop, env map[string]types.Value, depth int) error {
-	if len(loops) == 0 {
-		for _, lt := range s.Lets {
-			v, err := e.interpExpr(lt.Expr, env)
-			if err != nil {
-				return err
-			}
-			env[lt.Var] = v
-		}
-		if s.Cond != nil {
-			c, err := e.interpExpr(s.Cond, env)
-			if err != nil {
-				return err
-			}
-			if !c.Bool() {
-				return nil
-			}
-		}
-		d, err := e.interpExpr(s.Delta, env)
-		if err != nil {
-			return err
-		}
-		f := d.Float()
-		if f == 0 {
-			return nil
-		}
-		// The leaf key buffer is pooled on the engine (like the env map),
-		// so the interpretation ablation measures interpretation overhead,
-		// not extra garbage.
-		if cap(e.ikey) < len(s.Keys) {
-			e.ikey = make(types.Tuple, len(s.Keys))
-		}
-		key := e.ikey[:len(s.Keys)]
-		for i, k := range s.Keys {
-			v, err := e.interpExpr(k, env)
-			if err != nil {
-				return err
-			}
-			key[i] = v
-		}
-		e.maps[s.Target].Add(key, f)
-		return nil
-	}
-	lp := loops[0]
-	m := e.maps[lp.Map]
-	pos := boundPositions(lp)
-	// One pooled bound buffer per loop depth: nested loops at different
-	// depths are live at the same time, loops at the same depth are not.
-	for len(e.ibound) <= depth {
-		e.ibound = append(e.ibound, nil)
-	}
-	if cap(e.ibound[depth]) < len(pos) {
-		e.ibound[depth] = make(types.Tuple, len(pos))
-	}
-	bound := e.ibound[depth][:len(pos)]
-	for i, p := range pos {
-		v, err := e.interpExpr(lp.Bound[p], env)
-		if err != nil {
-			return err
-		}
-		bound[i] = v
-	}
-	var ierr error
-	visit := func(t types.Tuple, val float64) {
-		if ierr != nil {
-			return
-		}
-		for p, v := range lp.FreeVars {
-			if v != "" {
-				env[v] = t[p]
-			}
-		}
-		if lp.ValueVar != "" {
-			env[lp.ValueVar] = types.NewFloat(val)
-		}
-		ierr = e.interpLoops(s, loops[1:], env, depth+1)
-	}
-	if !e.opts.NoSliceIndex && len(pos) > 0 && len(pos) < len(lp.Bound) {
-		m.EnsureSlice(pos).Iterate(bound, visit)
-		return ierr
-	}
-	m.Scan(func(t types.Tuple, val float64) {
-		for i, p := range pos {
-			if !t[p].Equal(bound[i]) {
-				return
-			}
-		}
-		visit(t, val)
-	})
-	return ierr
-}
-
-func (e *Engine) interpExpr(x ir.Expr, env map[string]types.Value) (types.Value, error) {
-	switch x := x.(type) {
-	case *ir.Const:
-		return x.Value, nil
-	case *ir.VarRef:
-		v, ok := env[x.Name]
-		if !ok {
-			return types.Null, fmt.Errorf("runtime: unbound variable %s", x.Name)
-		}
-		return v, nil
-	case *ir.Lookup:
-		key := make(types.Tuple, len(x.Keys))
-		for i, k := range x.Keys {
-			v, err := e.interpExpr(k, env)
-			if err != nil {
-				return types.Null, err
-			}
-			key[i] = v
-		}
-		return types.NewFloat(e.maps[x.Map].Get(key)), nil
-	case *ir.Arith:
-		l, err := e.interpExpr(x.L, env)
-		if err != nil {
-			return types.Null, err
-		}
-		r, err := e.interpExpr(x.R, env)
-		if err != nil {
-			return types.Null, err
-		}
-		switch x.Op {
-		case '+':
-			return types.Add(l, r), nil
-		case '-':
-			return types.Sub(l, r), nil
-		case '*':
-			return types.Mul(l, r), nil
-		case '/':
-			return types.Div(l, r), nil
-		}
-	case *ir.CmpE:
-		l, err := e.interpExpr(x.L, env)
-		if err != nil {
-			return types.Null, err
-		}
-		r, err := e.interpExpr(x.R, env)
-		if err != nil {
-			return types.Null, err
-		}
-		if x.Op.Eval(l, r) {
-			return types.NewInt(1), nil
-		}
-		return types.NewInt(0), nil
-	}
-	return types.Null, fmt.Errorf("runtime: unknown expression %T", x)
 }

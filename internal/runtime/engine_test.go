@@ -88,7 +88,7 @@ var paperEvents = []evt{
 }
 
 func TestPaperQueryMaintenance(t *testing.T) {
-	for _, opts := range []Options{{}, {Interpret: true}, {NoSliceIndex: true}, {Interpret: true, NoSliceIndex: true}} {
+	for _, opts := range []Options{{}, {NoTypedStorage: true}, {NoSliceIndex: true}, {NoTypedStorage: true, NoSliceIndex: true}} {
 		cat := rstCatalog()
 		c := compileSQL(t, cat, "select sum(A*D) from R, S, T where R.B=S.B and S.C=T.C")
 		eng, err := NewEngine(c.Program, opts)
@@ -257,17 +257,22 @@ func TestEngineIgnoresUnknownRelations(t *testing.T) {
 	}
 }
 
-// TestTriggerResolutionAcrossRuns drives OnEventBatch's once-per-run
-// trigger resolution through every boundary it can get wrong: a run of one
-// relation, a switch of op, a switch of spelling, an unknown relation in
-// between (resolved as "no trigger"), a relation with no trigger, and back —
-// against the same events applied one at a time, and against the ordinal
-// table bound to two spellings of the catalog — as declared, and lowercased
-// in another order — and bound to "R" for a program whose triggers say "r".
+// TestTriggerResolutionAcrossRuns drives trigger resolution through every
+// boundary it can get wrong: a run of one relation, a switch of op, a
+// switch of spelling, an unknown relation in between (resolved as "no
+// trigger"), a relation with no trigger, and back — by name, and through
+// the ordinal table bound to two spellings of the catalog — as declared,
+// and lowercased in another order — and bound to "R" for a program whose
+// triggers say "r".
 func TestTriggerResolutionAcrossRuns(t *testing.T) {
 	c := compileSQL(t, rstCatalog(), "select B, sum(A) from R group by B")
 	row := func(a, b int64) types.Tuple { return types.Tuple{types.NewInt(a), types.NewInt(b)} }
-	evs := []Event{
+	type event struct {
+		Rel    string
+		Insert bool
+		Args   types.Tuple
+	}
+	evs := []event{
 		{"R", true, row(1, 7)}, {"R", true, row(2, 7)}, {"R", false, row(1, 7)},
 		{"Z", true, row(9, 9)}, {"Z", true, row(9, 9)}, {"r", true, row(4, 7)},
 		{"S", true, row(7, 1)}, {"R", true, row(8, 7)}, {"R", false, row(2, 7)},
@@ -278,11 +283,7 @@ func TestTriggerResolutionAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch, _ := NewEngine(c.Program, Options{})
-	if err := batch.OnEventBatch(evs); err != nil {
-		t.Fatal(err)
-	}
-	engines := []*Engine{single, batch}
+	engines := []*Engine{single}
 	// The same query compiled against lowercase relation names: bound to the
 	// declared "R", it finds its triggers through the case fold.
 	lower := compileSQL(t, schema.NewCatalog(schema.NewRelation("r", "A:int", "B:int"),
@@ -336,44 +337,9 @@ func TestMapZeroEntriesRemoved(t *testing.T) {
 	}
 }
 
-func TestInterpAndClosureAgree(t *testing.T) {
-	cat := rstCatalog()
-	src := "select S.C, sum(R.A) from R, S where R.B = S.B group by S.C"
-	c1 := compileSQL(t, cat, src)
-	c2 := compileSQL(t, cat, src)
-	e1, _ := NewEngine(c1.Program, Options{})
-	e2, _ := NewEngine(c2.Program, Options{Interpret: true})
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		rel := []string{"R", "S"}[r.Intn(2)]
-		args := types.Tuple{types.NewInt(int64(r.Intn(5))), types.NewInt(int64(r.Intn(5)))}
-		insert := r.Intn(4) != 0
-		if err := e1.OnEvent(rel, insert, args); err != nil {
-			t.Fatal(err)
-		}
-		if err := e2.OnEvent(rel, insert, args); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range c1.Program.MapOrder {
-		m1 := map[types.Key]float64{}
-		e1.Map(name).Scan(func(tp types.Tuple, v float64) { m1[types.EncodeKey(tp)] = v })
-		m2 := map[types.Key]float64{}
-		e2.Map(name).Scan(func(tp types.Tuple, v float64) { m2[types.EncodeKey(tp)] = v })
-		if len(m1) != len(m2) {
-			t.Fatalf("map %s: closure %d entries, interp %d", name, len(m1), len(m2))
-		}
-		for k, v := range m1 {
-			if m2[k] != v {
-				t.Fatalf("map %s key %v: closure %v, interp %v", name, types.DecodeKey(k), v, m2[k])
-			}
-		}
-	}
-}
-
 // TestLetsAndCondExecution exercises the IR's Let and Cond statement
 // features (which the current compiler inlines away, but the IR supports)
-// through a hand-built program, in both execution modes.
+// through a hand-built program, over typed and generic storage.
 func TestLetsAndCondExecution(t *testing.T) {
 	decl := &ir.MapDecl{Name: "out", Keys: []string{"k0"},
 		Definition: &algebra.AggSum{GroupVars: []string{"k0"}, Body: algebra.One()}}
@@ -393,7 +359,7 @@ func TestLetsAndCondExecution(t *testing.T) {
 			}},
 		}},
 	}
-	for _, opts := range []Options{{}, {Interpret: true}} {
+	for _, opts := range []Options{{}, {NoTypedStorage: true}} {
 		eng, err := NewEngine(prog, opts)
 		if err != nil {
 			t.Fatal(err)

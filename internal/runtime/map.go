@@ -21,10 +21,9 @@
 // flat side array. Both forms share every line of table, chain and slot
 // management below.
 //
-// Programs run either as pre-compiled closures — the Go analogue of the
-// paper's generated C++ — or through a direct IR interpreter kept for the
-// interpretation-overhead ablation. Engines are single-goroutine: one
-// update stream drives one engine, per the paper's execution model.
+// Programs run as pre-compiled closures — the Go analogue of the paper's
+// generated C++. Engines are single-goroutine: one update stream drives
+// one engine, per the paper's execution model.
 package runtime
 
 import (

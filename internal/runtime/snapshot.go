@@ -43,7 +43,7 @@ func (e *Engine) Snapshot(w io.Writer) error { return e.SnapshotAt(w, 0) }
 // SnapshotAt writes the engine's complete map state tagged with a WAL
 // watermark.
 func (e *Engine) SnapshotAt(w io.Writer, watermark uint64) error {
-	return writeSnapshot(w, watermark, e.prog.MapOrder, func(name string, visit func(types.Tuple, float64)) {
+	return WriteSnapshot(w, watermark, e.prog.MapOrder, func(name string, visit func(types.Tuple, float64)) {
 		e.maps[name].Scan(visit)
 	})
 }
@@ -83,15 +83,6 @@ func (e *Engine) RestoreMeta(r io.Reader) (uint64, error) {
 	return watermark, nil
 }
 
-// WriteSnapshot serializes externally held map state in the engine
-// snapshot format; the scan callback hands over each named map's entries.
-// The codegen parity oracle uses it to render a generated program's state
-// dump into bytes bitwise-comparable with (and restorable as) an engine
-// snapshot.
-func WriteSnapshot(w io.Writer, watermark uint64, mapOrder []string, scan func(name string, visit func(types.Tuple, float64))) error {
-	return writeSnapshot(w, watermark, mapOrder, scan)
-}
-
 // mapStage is one map's fully decoded snapshot content, held off-engine
 // until the whole snapshot validates.
 type mapStage struct {
@@ -100,10 +91,11 @@ type mapStage struct {
 	vals []float64
 }
 
-// writeSnapshot serializes map state: scan hands over each named map's
-// entries (possibly from several physical stores whose key sets are
-// disjoint, as in the sharded engine).
-func writeSnapshot(w io.Writer, watermark uint64, mapOrder []string, scan func(name string, visit func(types.Tuple, float64))) error {
+// WriteSnapshot serializes map state in the engine snapshot format; the
+// scan callback hands over each named map's entries. The codegen parity
+// oracle uses it to render a generated program's state dump into bytes
+// bitwise-comparable with (and restorable as) an engine snapshot.
+func WriteSnapshot(w io.Writer, watermark uint64, mapOrder []string, scan func(name string, visit func(types.Tuple, float64))) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagicV2); err != nil {
 		return err
@@ -250,77 +242,4 @@ func clearEngineMaps(e *Engine) {
 			m.Add(k, -m.Get(k))
 		}
 	}
-}
-
-// Snapshot writes the sharded engine's complete map state (watermark 0).
-func (s *ShardedEngine) Snapshot(w io.Writer) error { return s.SnapshotAt(w, 0) }
-
-// SnapshotAt quiesces the workers (Flush is the cross-shard barrier: all
-// pending batches applied, all workers idle) and writes the merged map
-// state — each map's entries drawn from the global worker and every
-// shard, whose key sets are disjoint by the partition invariant.
-func (s *ShardedEngine) SnapshotAt(w io.Writer, watermark uint64) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	return writeSnapshot(w, watermark, s.prog.MapOrder, func(name string, visit func(types.Tuple, float64)) {
-		s.global.Map(name).Scan(visit)
-		for _, sh := range s.shards {
-			sh.Map(name).Scan(visit)
-		}
-	})
-}
-
-// Restore replaces the sharded engine's state with a snapshot.
-func (s *ShardedEngine) Restore(r io.Reader) error {
-	_, err := s.RestoreMeta(r)
-	return err
-}
-
-// RestoreMeta restores a snapshot into the sharded engine, routing each
-// entry to the worker that owns it: sharded maps hash the entry's
-// partition-position key value exactly as event routing does, global maps
-// go to the global worker. Returns the snapshot's WAL watermark. Like the
-// single-engine path, validation completes before any state changes.
-func (s *ShardedEngine) RestoreMeta(r io.Reader) (uint64, error) {
-	if err := s.Flush(); err != nil {
-		return 0, err
-	}
-	staged, watermark, err := readSnapshot(r)
-	if err != nil {
-		return 0, err
-	}
-	for _, ms := range staged {
-		// Entries land in shard storage when the map is partitioned, global
-		// storage otherwise; validate against the layout that will receive
-		// them (shards all share one program, hence one layout).
-		var target *Map
-		if _, sharded := s.part.MapPos[ms.name]; sharded {
-			target = s.shards[0].Map(ms.name)
-		} else {
-			target = s.global.Map(ms.name)
-		}
-		if target == nil {
-			return 0, fmt.Errorf("runtime: snapshot contains unknown map %q", ms.name)
-		}
-		if err := validateEntries(target, ms); err != nil {
-			return 0, err
-		}
-	}
-	clearEngineMaps(s.global)
-	for _, sh := range s.shards {
-		clearEngineMaps(sh)
-	}
-	for _, ms := range staged {
-		pos, sharded := s.part.MapPos[ms.name]
-		for i, k := range ms.keys {
-			if sharded {
-				sh := int(PartitionHash(k[pos]) % uint32(s.n))
-				s.shards[sh].Map(ms.name).Add(k, ms.vals[i])
-			} else {
-				s.global.Map(ms.name).Add(k, ms.vals[i])
-			}
-		}
-	}
-	return watermark, nil
 }

@@ -64,8 +64,8 @@ func constructEvents(seed int64, n int) []evt {
 
 // TestSQLConstructInvariants checks, for every widened-surface query and
 // after every event, that every maintained map equals its defining term
-// evaluated over the base state — across compiled, interpreted, and
-// untyped-storage engines.
+// evaluated over the base state — across typed and untyped-storage
+// engines.
 func TestSQLConstructInvariants(t *testing.T) {
 	events := constructEvents(11, 60)
 	for _, src := range sqlConstructQueries {
@@ -73,7 +73,7 @@ func TestSQLConstructInvariants(t *testing.T) {
 		t.Run(src, func(t *testing.T) {
 			cat := rstCatalog()
 			c := compileSQL(t, cat, src)
-			for _, opts := range []Options{{}, {Interpret: true}, {NoTypedStorage: true}} {
+			for _, opts := range []Options{{}, {NoTypedStorage: true}} {
 				eng, err := NewEngine(c.Program, opts)
 				if err != nil {
 					t.Fatalf("opts %+v: %v", opts, err)

@@ -212,7 +212,7 @@ func provablyInt(e ir.Expr, intVars map[string]bool) bool {
 // variables above), and parameters with known numeric kinds additionally
 // get unboxed int/float slots filled — after a kind check — at event entry.
 func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
-	ct := &compiledTrigger{trig: t, ienv: make(map[string]types.Value)}
+	ct := &compiledTrigger{trig: t}
 	slots := map[string]int{}
 	for i, p := range t.Params {
 		slots[p] = i

@@ -73,10 +73,10 @@ type deltaParser struct {
 // parse parses the body of a delta line — "<relation> v1|v2|..." — into an
 // admitted event (see stream.Admitted): its Relation is the catalog's
 // spelling, Ord its ordinal, and its Args, parsed as their columns' kinds,
-// sit in the request's slab. remaining is how many lines the request may
-// still bring, this one included; it sizes a new slab. A slab is never
-// reused for a later request: the sharded runtime's workers queue events
-// and may hold Args after the request is acknowledged.
+// sit in the connection's slab. remaining is how many lines the request may
+// still bring, this one included; it sizes a new slab. The next request
+// overwrites the slab (session.begin rewinds it): engines copy what they
+// keep, so nothing references a request's values once it is acknowledged.
 func (p *deltaParser) parse(op stream.Op, body []byte, remaining int) (stream.Event, error) {
 	name, vals, _ := bytes.Cut(body, space)
 	r := p.rel

@@ -293,17 +293,14 @@ func (s *Server) restoreQuery(name, sqlText string, fromSeq uint64, blob []byte)
 	}
 	d, ok := tmp.(engine.Durable)
 	if !ok {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("query %q engine does not support snapshots", name)
 	}
 	if _, err := d.StateRestore(bytes.NewReader(blob)); err != nil {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover query %q: %w", name, err)
 	}
 	if _, err := s.reg.Install(name, q, tmp, fromSeq, ropts); err != nil {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover query %q: %w", name, err)
 	}
@@ -419,8 +416,7 @@ func (s *Server) recoverLifecycle(seq uint64, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("wal record %d: %w", seq, err)
 		}
-		eng, rerr := s.reg.Remove(name)
-		if rerr != nil {
+		if rerr := s.reg.Remove(name); rerr != nil {
 			// Removal of a query a newer checkpoint no longer holds
 			// replays as a no-op, like a rejected event.
 			s.replayErrs++
@@ -429,7 +425,6 @@ func (s *Server) recoverLifecycle(seq uint64, data []byte) error {
 		if s.sink != nil {
 			s.sink.DropLabel(name)
 		}
-		closeEngine(eng)
 		return nil
 	}
 	return fmt.Errorf("wal record %d: unknown record type %d", seq, wal.RecordType(data))
@@ -467,12 +462,10 @@ func (s *Server) recoverRegister(name, sqlText string, fromSeq, recordSeq uint64
 	_, err = cu.advance(s.wal, recordSeq)
 	s.catchupBytes += cu.bytes
 	if err != nil {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover register %q: %w", name, err)
 	}
 	if _, err := s.reg.Install(name, q, tmp, fromSeq, ropts); err != nil {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover register %q: %w", name, err)
 	}

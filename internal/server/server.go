@@ -81,9 +81,6 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Shards selects the sharded runtime for every registered query
-	// (0 or 1 = the single-threaded engine).
-	Shards int
 	// Metrics supplies an external sink. Nil means the server creates its
 	// own (instrumentation is on by default — the network dwarfs its cost)
 	// unless NoMetrics is set.
@@ -125,7 +122,7 @@ type Options struct {
 
 	// engineBuilder overrides engine construction for registered queries:
 	// the seam tests use to inject fault-raising engines. Nil selects the
-	// built-in Toaster (or ShardedToaster per Shards). Builder engines
+	// built-in Toaster. Builder engines
 	// install as-is: no map sharing or rebuild-with-transfer.
 	engineBuilder func(name string, q *engine.Query) (engine.CompiledEngine, error)
 }
@@ -135,7 +132,6 @@ type Options struct {
 type Server struct {
 	mu     sync.Mutex
 	cat    *schema.Catalog
-	shards int
 	sink   *metrics.Sink
 	reg    *engine.Registry
 	events uint64
@@ -178,13 +174,6 @@ func New(sqlText string, cat *schema.Catalog) (*Server, error) {
 	return NewWithOptions(sqlText, cat, Options{})
 }
 
-// NewSharded is New with the sharded runtime: every registered query runs
-// on a ShardedEngine with the given shard count (0 or 1 selects the
-// single-threaded engine).
-func NewSharded(sqlText string, cat *schema.Catalog, shards int) (*Server, error) {
-	return NewWithOptions(sqlText, cat, Options{Shards: shards})
-}
-
 // NewWithOptions compiles the initial query (registered as "main") with
 // full configuration.
 func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server, error) {
@@ -192,11 +181,8 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 	// every engine's dispatch table is laid out over: the served catalog
 	// gains no relations from here on.
 	cat.Seal()
-	// Map sharing requires a single-threaded engine per query: adopted maps
-	// are read without synchronization against the owner's writes, which is
-	// safe only under the one-event-at-a-time fan-out.
 	s := &Server{
-		cat: cat, shards: opts.Shards, reg: engine.NewRegistry(opts.Shards <= 1),
+		cat: cat, reg: engine.NewRegistry(true),
 		maxPending: opts.MaxPending, maxConns: opts.MaxConns,
 		idleTimeout: opts.IdleTimeout, engineBuilder: opts.engineBuilder,
 	}
@@ -221,14 +207,12 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 		}
 		m, err := wal.Open(opts.WALDir, wopts)
 		if err != nil {
-			s.closeEngines()
 			return nil, err
 		}
 		s.wal = m
 		s.ckptEvery = opts.CheckpointEvery
 		if !m.Empty() && !opts.Recover {
 			m.Close()
-			s.closeEngines()
 			return nil, fmt.Errorf("server: WAL directory %s holds prior state; start with recovery enabled or point at an empty directory", opts.WALDir)
 		}
 		if opts.Recover {
@@ -244,7 +228,6 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 			s.recovering = false
 			if err != nil {
 				m.Close()
-				s.closeEngines()
 				return nil, fmt.Errorf("server: recovery: %w", err)
 			}
 			s.recovery = &info
@@ -254,22 +237,6 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 		}
 	}
 	return s, nil
-}
-
-// closeEngines shuts down engines with worker goroutines; used on
-// constructor error paths where Close is never reached.
-func (s *Server) closeEngines() {
-	for _, name := range s.reg.Names() {
-		if eng, ok := s.reg.Get(name); ok {
-			closeEngine(eng)
-		}
-	}
-}
-
-func closeEngine(eng engine.Engine) {
-	if c, ok := eng.(interface{ Close() error }); ok {
-		_ = c.Close()
-	}
 }
 
 // onQuarantine is the registry's durability hook for fan-out demotions. It
@@ -296,15 +263,11 @@ func (s *Server) onQuarantine(name, reason string) uint64 {
 
 // buildEngine constructs the private (catch-up) engine for one query per
 // the server's configuration: the test-injected engineBuilder when set,
-// otherwise the sharded or bare single-threaded Toaster. Bare Toasters are
-// rebuilt by Install with metrics and map sharing; everything else
-// installs as-is.
+// otherwise a bare Toaster, which Install rebuilds with metrics and map
+// sharing.
 func (s *Server) buildEngine(name string, q *engine.Query) (engine.CompiledEngine, error) {
 	if s.engineBuilder != nil {
 		return s.engineBuilder(name, q)
-	}
-	if s.shards > 1 {
-		return engine.NewShardedToaster(q, s.shards, runtime.Options{Metrics: s.sink, MetricsLabel: name})
 	}
 	return engine.NewToaster(q, runtime.Options{NoMetrics: true})
 }
@@ -375,7 +338,6 @@ func (s *Server) install(name, sqlText string) error {
 		for cu.passes < 32 {
 			netted, rerr := cu.advance(s.wal, 0)
 			if rerr != nil {
-				closeEngine(tmp)
 				return rerr
 			}
 			if netted <= drainThreshold {
@@ -416,7 +378,6 @@ func (s *Server) install(name, sqlText string) error {
 		return ierr
 	})
 	if err != nil {
-		closeEngine(tmp)
 		return err
 	}
 	if serving {
@@ -434,13 +395,10 @@ func (s *Server) install(name, sqlText string) error {
 // an UNREGISTER record makes the removal survive recovery. Removing the
 // last live query is refused.
 func (s *Server) Unregister(name string) error {
-	var removed engine.Engine
-	err := s.control(func() error {
-		eng, err := s.reg.Remove(name)
-		if err != nil {
+	return s.control(func() error {
+		if err := s.reg.Remove(name); err != nil {
 			return err
 		}
-		removed = eng
 		if s.wal != nil {
 			if _, werr := s.wal.Append(wal.AppendUnregister(nil, name)); werr != nil {
 				return fmt.Errorf("wal append unregister: %w", werr)
@@ -451,10 +409,6 @@ func (s *Server) Unregister(name string) error {
 		}
 		return nil
 	})
-	if removed != nil {
-		closeEngine(removed)
-	}
-	return err
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
@@ -496,7 +450,7 @@ func (s *Server) Listen(addr string) (string, error) {
 }
 
 // Close stops the listener, waits for connections to drain (the commit
-// lane has no goroutine to stop), and shuts down engines with workers.
+// lane has no goroutine to stop), and closes the WAL.
 func (s *Server) Close() error {
 	var err error
 	if s.ln != nil {
@@ -505,15 +459,6 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, name := range s.reg.Names() {
-		if eng, ok := s.reg.Get(name); ok {
-			if c, ok := eng.(interface{ Close() error }); ok {
-				if cerr := c.Close(); err == nil {
-					err = cerr
-				}
-			}
-		}
-	}
 	if s.wal != nil {
 		if werr := s.wal.Close(); err == nil {
 			err = werr
@@ -580,8 +525,12 @@ type session struct {
 // up front and a connection keeps afterwards: a request's first value slab
 // is sized for at most this many events, and the events slice and encode
 // buffer of a larger batch are dropped with the request instead of pinned
-// for the connection's life.
-const maxSessionEvents = 4096
+// for the connection's life. maxSessionValues bounds the value slab kept
+// the same way, in values (40 bytes each).
+const (
+	maxSessionEvents = 4096
+	maxSessionValues = 4 * maxSessionEvents
+)
 
 func newSession(s *Server) *session {
 	ss := &session{srv: s, parser: deltaParser{cat: s.cat}}
@@ -624,13 +573,17 @@ func (ss *session) handle(sc *bufio.Scanner, w *bufio.Writer, line []byte) (quit
 	return ss.srv.handle(w, string(line))
 }
 
-// begin starts a new delta request: a fresh value slab (see
-// deltaParser.parse), the connection's events slice rewound.
+// begin starts a new delta request: the connection's value slab and
+// events slice rewound (see deltaParser.parse), each dropped instead if a
+// large batch grew it past its bound.
 func (ss *session) begin() {
-	ss.parser.slab = nil
+	if cap(ss.parser.slab) > maxSessionValues {
+		ss.parser.slab = nil
+	}
 	if cap(ss.evs) > maxSessionEvents {
 		ss.evs, ss.req.enc = nil, nil
 	}
+	ss.parser.slab = ss.parser.slab[:0]
 	ss.evs = ss.evs[:0]
 }
 

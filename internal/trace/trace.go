@@ -26,7 +26,6 @@ type Tracer struct {
 	// step, when non-nil, is invoked before each traced statement runs;
 	// returning false aborts tracing output (execution continues).
 	step func() bool
-	cur  *ir.Stmt
 }
 
 // New compiles the query with tracing enabled, writing the trace to out.
@@ -36,10 +35,7 @@ func New(q *engine.Query, out io.Writer) (*Tracer, error) {
 		return nil, err
 	}
 	t := &Tracer{q: q, out: out}
-	rt, err := runtime.NewEngine(comp.Program, runtime.Options{
-		Interpret:   true,
-		StmtWrapper: t.wrap,
-	})
+	rt, err := runtime.NewEngine(comp.Program, runtime.Options{StmtWrapper: t.wrap})
 	if err != nil {
 		return nil, err
 	}
@@ -64,14 +60,14 @@ func (t *Tracer) OnEvent(ev stream.Event) error {
 }
 
 // wrap executes one statement, printing it and the map entries it changed.
-func (t *Tracer) wrap(stmt *ir.Stmt, run func() error) error {
-	t.cur = stmt
+func (t *Tracer) wrap(stmt *ir.Stmt, run func()) {
 	if t.step != nil && !t.step() {
-		return run()
+		run()
+		return
 	}
 	target := t.rt.Map(stmt.Target)
 	before := snapshot(target)
-	err := run()
+	run()
 	after := snapshot(target)
 	fmt.Fprintf(t.out, "  stmt: %s\n", stmt)
 	changes := diff(before, after)
@@ -81,7 +77,6 @@ func (t *Tracer) wrap(stmt *ir.Stmt, run func() error) error {
 	for _, c := range changes {
 		fmt.Fprintf(t.out, "    %s%s: %v -> %v\n", stmt.Target, c.key, c.before, c.after)
 	}
-	return err
 }
 
 type change struct {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dbtoaster/internal/engine"
+	"dbtoaster/internal/orderbook"
+	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/types"
@@ -111,5 +113,59 @@ func TestTraceProgramAndSummary(t *testing.T) {
 	}
 	if tr.Summary() == "" {
 		t.Error("empty summary")
+	}
+}
+
+// TestTracedStateEqualsUntraced runs the tracer over queries whose maps
+// take packed int keys, where the wrapped statements are the typed
+// kernels, and requires the traced engine's state to be byte-for-byte the
+// snapshot of an untraced Toaster fed the same stream.
+func TestTracedStateEqualsUntraced(t *testing.T) {
+	cat := orderbook.Catalog()
+	events := orderbook.NewGenerator(3, 20).Events(400)
+	for _, src := range []string{orderbook.QueryBrokerActivity, orderbook.QueryTwoSidedVolume} {
+		q, err := engine.Prepare(src, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		tr, err := New(q, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := engine.NewToaster(q, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if err := tr.OnEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.OnEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		packed := 0
+		for _, st := range tr.rt.MemStats() {
+			if st.Layout != "generic" {
+				packed++
+			}
+		}
+		if packed == 0 {
+			t.Fatalf("%s: no packed map under the tracer", src)
+		}
+		if !strings.Contains(out.String(), "stmt:") {
+			t.Fatalf("%s: no statement traced", src)
+		}
+		var traced, untraced bytes.Buffer
+		if err := tr.rt.Snapshot(&traced); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.StateSnapshot(&untraced, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(traced.Bytes(), untraced.Bytes()) {
+			t.Errorf("%s: traced state (%d bytes) differs from untraced (%d bytes)", src, traced.Len(), untraced.Len())
+		}
 	}
 }

@@ -37,9 +37,6 @@ func faultVariants() []faultVariant {
 		{"generic", func(q *engine.Query) (engine.Engine, error) {
 			return engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
 		}},
-		{"sharded-3", func(q *engine.Query) (engine.Engine, error) {
-			return engine.NewShardedToaster(q, 3, runtime.Options{})
-		}},
 	}
 }
 
@@ -81,12 +78,6 @@ func faultEvents(n int) []stream.Event {
 	return evs
 }
 
-func closeFaultEngine(e engine.Engine) {
-	if c, ok := e.(interface{ Close() error }); ok {
-		c.Close()
-	}
-}
-
 // stateDigest is the bitwise state of an engine: its snapshot blob at a
 // fixed watermark (snapshots sort entries, so equal state means equal
 // bytes).
@@ -107,7 +98,6 @@ func referenceDigests(t *testing.T, v faultVariant, q *engine.Query, evs []strea
 	if err != nil {
 		t.Fatalf("%s: build: %v", v.name, err)
 	}
-	defer closeFaultEngine(e)
 	digests := make([][]byte, 0, len(evs)+1)
 	digests = append(digests, stateDigest(t, e))
 	for _, ev := range evs {
@@ -135,7 +125,6 @@ func runDurable(t *testing.T, dir string, v faultVariant, q *engine.Query,
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	defer closeFaultEngine(e)
 	d := e.(engine.Durable)
 	for _, ev := range evs {
 		rec := wal.AppendEvent(nil, ev.Relation, ev.Op == stream.Insert, ev.Args)
@@ -265,7 +254,6 @@ func TestCrashRecoveryFaultMatrix(t *testing.T) {
 					}
 
 					e, m, recovered := recoverDir(t, dir, v, q)
-					defer closeFaultEngine(e)
 					defer m.Close()
 					if recovered < acked || recovered > len(evs) {
 						t.Fatalf("recovered %d events, acknowledged %d of %d", recovered, acked, len(evs))
@@ -338,11 +326,9 @@ func TestDoubleCrashRecovery(t *testing.T) {
 		fed++
 	}
 	m.Close()
-	closeFaultEngine(e)
 
 	// Third run: recover again; state must match the 7-event prefix.
 	e2, m2, recovered2 := recoverDir(t, dir, v, q)
-	defer closeFaultEngine(e2)
 	defer m2.Close()
 	if recovered2 != 7 {
 		t.Fatalf("second recovery covers %d events, want 7", recovered2)

@@ -72,7 +72,6 @@ func benchmarkReplay(b *testing.B, ckptAt int, reader replayReader) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer closeFaultEngine(seedEng)
 	rels := []string{"R", "S", "T"}
 	var enc []byte
 	for i := 0; i < replayBenchEvents; i++ {
@@ -115,7 +114,6 @@ func benchmarkReplay(b *testing.B, ckptAt int, reader replayReader) {
 		if err != nil || info.Watermark+info.Replayed != replayBenchEvents {
 			b.Fatalf("recovered %d+%d of %d events: %v", info.Watermark, info.Replayed, replayBenchEvents, err)
 		}
-		closeFaultEngine(e)
 		b.StartTimer()
 	}
 	b.StopTimer()

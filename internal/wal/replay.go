@@ -38,9 +38,9 @@ type EventSource struct {
 // Batch is a run of consecutive log records decoded for replay.
 type Batch struct {
 	// Admitted holds the admitted events, in log order, and the catalog that
-	// admitted them. Their Args share one slab allocated for this batch and
-	// never reused, so an engine may keep them; the Events slice itself is
-	// only valid during apply.
+	// admitted them. Their Args share one slab that the next batch
+	// overwrites: like the Events slice itself, they are valid during apply
+	// only, and an engine copies what it keeps.
 	stream.Admitted
 	// First and Last are the sequence numbers of the first and last records
 	// the batch covers, passed-over ones included.
@@ -59,9 +59,9 @@ type Batch struct {
 
 // ReplayBatches scans the log from cur like ReplayRange — records past
 // cur.Seq and, when until is non-zero, before until — decoding event records
-// into batches handed to apply in log order. One Batch is reused: it is
-// valid during apply only, except for the slab behind its events' Args.
-// When apply fails, where cur is left is unspecified.
+// into batches handed to apply in log order. One Batch is reused, slab
+// included: it is valid during apply only. When apply fails, where cur is
+// left is unspecified.
 //
 // The reader runs on the caller's goroutine. Reading, checksumming and
 // decoding one batch ahead of apply on a goroutine of their own was
@@ -69,7 +69,7 @@ type Batch struct {
 // 256 events costs more than the overlap wins on two cores that the
 // collector also wants.
 func (m *Manager) ReplayBatches(cur *Cursor, until uint64, src EventSource, apply func(*Batch) error) (ScanInfo, error) {
-	r := batchReader{src: src, apply: apply, rc: RelationCache{Catalog: src.Catalog}, slabCap: BatchEvents * 4}
+	r := batchReader{src: src, apply: apply, rc: RelationCache{Catalog: src.Catalog}}
 	r.b.Catalog = src.Catalog
 	info, err := m.scan(cur, until, r.add)
 	if err == nil && r.b.First != 0 {
@@ -85,21 +85,16 @@ type batchReader struct {
 	b     Batch
 	rc    RelationCache
 	keep  bool // src.Keep's verdict on rc.last
-	// slabCap sizes the next slab: a full batch at the values per event the
-	// batch before it had; append grows the odd one that needs more.
-	slabCap int
 }
 
-// emit hands the batch to apply and starts the next one.
+// emit hands the batch to apply and starts the next one over the same
+// slab; a slab that append grew for wide events stays grown.
 func (r *batchReader) emit() error {
 	b := &r.b
-	if n := len(b.Events); n > 0 {
-		r.slabCap = BatchEvents * ((len(b.slab) + n - 1) / n)
-	}
 	if err := r.apply(b); err != nil {
 		return err
 	}
-	*b = Batch{Admitted: stream.Admitted{Catalog: b.Catalog, Events: b.Events[:0]}, Lifecycle: b.Lifecycle[:0]}
+	*b = Batch{Admitted: stream.Admitted{Catalog: b.Catalog, Events: b.Events[:0]}, Lifecycle: b.Lifecycle[:0], slab: b.slab[:0]}
 	return nil
 }
 
@@ -137,7 +132,7 @@ func (r *batchReader) add(seq uint64, data []byte) error {
 		return nil
 	}
 	if b.slab == nil {
-		b.slab = make([]types.Value, 0, r.slabCap)
+		b.slab = make([]types.Value, 0, BatchEvents*4)
 	}
 	start := len(b.slab)
 	if b.slab, err = types.AppendDecodedKey(b.slab, enc); err != nil {

@@ -144,13 +144,11 @@ type replayVariant struct {
 	build func(q *engine.Query) (engine.Engine, error)
 }
 
-// replayVariants are the engine kinds a server can run: the single-threaded
-// Toaster, and the sharded runtime, which queues events and so holds on to
-// their Args.
+// replayVariants are the Toaster over typed and over generic storage.
 var replayVariants = []replayVariant{
 	{"toaster", func(q *engine.Query) (engine.Engine, error) { return engine.NewToaster(q, runtime.Options{}) }},
-	{"sharded-3", func(q *engine.Query) (engine.Engine, error) {
-		return engine.NewShardedToaster(q, 3, runtime.Options{})
+	{"generic", func(q *engine.Query) (engine.Engine, error) {
+		return engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
 	}},
 }
 
@@ -185,7 +183,6 @@ func TestReplayDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					t.Cleanup(func() { closeFaultEngine(e) })
 					return e
 				}
 				batched := build()

@@ -16,13 +16,6 @@
 #                                        # steady-state snapshots come from
 #                                        # `bakeoff -metrics-out` or the
 #                                        # dbtserver METRICS command)
-#   SUITE=shards scripts/bench.sh        # multi-core scaling curves
-#                                        # (BenchmarkShardScaling at
-#                                        # GOMAXPROCS 1/2/4/8 →
-#                                        # BENCH_shards.json, including
-#                                        # speedups vs GOMAXPROCS=1 and the
-#                                        # host CPU count; CPUS=1,2 narrows
-#                                        # the sweep)
 #   SUITE=registry scripts/bench.sh      # dynamic query lifecycle: hot
 #                                        # register/unregister against a
 #                                        # retained WAL history
@@ -51,7 +44,6 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-20000x}"
 ENGINE="${ENGINE:-^dbtoaster$}"
 SUITE="${SUITE:-hotpath}"
-CPUFLAGS=""
 PKG="."
 case "$SUITE" in
 hotpath)
@@ -69,11 +61,6 @@ typed)
 metrics)
     PATTERN='^BenchmarkMetricsOverhead/'
     OUT="${OUT:-BENCH_metrics.json}"
-    ;;
-shards)
-    PATTERN='^BenchmarkShardScaling/'
-    OUT="${OUT:-BENCH_shards.json}"
-    CPUFLAGS="-cpu ${CPUS:-1,2,4,8}"
     ;;
 registry)
     PATTERN='^(BenchmarkRegistryRegister|BenchmarkReplay|BenchmarkRegistryFanOut)$'
@@ -94,13 +81,13 @@ overload)
     if [ "$BENCHTIME" = 20000x ]; then BENCHTIME=2000x; fi
     ;;
 *)
-    echo "unknown SUITE '$SUITE' (hotpath|typed|metrics|shards|registry|overload)" >&2
+    echo "unknown SUITE '$SUITE' (hotpath|typed|metrics|registry|overload)" >&2
     exit 2
     ;;
 esac
 
-# shellcheck disable=SC2086 # CPUFLAGS and PKG are intentionally word-split
-raw=$(go test -run xxx -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem $CPUFLAGS $PKG)
+# shellcheck disable=SC2086 # PKG is intentionally word-split
+raw=$(go test -run xxx -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem $PKG)
 printf '%s\n' "$raw"
 
 if [ "$SUITE" = registry ]; then
@@ -186,56 +173,6 @@ END {
         echo "BENCH_overload.json is missing p99 ack latencies" >&2
         exit 1
     fi
-    echo "wrote $OUT"
-    exit 0
-fi
-
-if [ "$SUITE" = shards ]; then
-    # The -N name suffix is the GOMAXPROCS of that run (go test -cpu);
-    # parse it into a field and compute per-query speedups vs GOMAXPROCS=1.
-    # host_cpus records what the machine can actually parallelize —
-    # speedups at gomaxprocs > host_cpus measure scheduling overhead, not
-    # scaling.
-    printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" -v hostcpus="$(nproc)" '
-BEGIN {
-    print "{"
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"host_cpus\": %d,\n", hostcpus
-    print "  \"benchmarks\": ["
-    first = 1
-}
-/^BenchmarkShardScaling/ && / ns\/op/ {
-    name = $1
-    gmp = 1
-    if (match(name, /-[0-9]+$/)) {
-        gmp = substr(name, RSTART + 1) + 0
-        name = substr(name, 1, RSTART - 1)
-    }
-    ns = ""
-    for (i = 2; i <= NF; i++) if ($i == "ns/op") ns = $(i-1)
-    if (ns == "") next
-    if (!first) printf ",\n"
-    first = 0
-    printf "    {\"name\": \"%s\", \"gomaxprocs\": %d, \"ns_per_op\": %s}", name, gmp, ns
-    nsv[name SUBSEP gmp] = ns
-    if (gmp == 1) base[name] = ns
-}
-END {
-    print ""
-    print "  ],"
-    print "  \"speedup_vs_1\": ["
-    sfirst = 1
-    for (k in nsv) {
-        split(k, a, SUBSEP)
-        if (a[2] == 1 || !(a[1] in base)) continue
-        if (!sfirst) printf ",\n"
-        sfirst = 0
-        printf "    {\"name\": \"%s\", \"gomaxprocs\": %d, \"speedup\": %.2f}", a[1], a[2], base[a[1]] / nsv[k]
-    }
-    print ""
-    print "  ]"
-    print "}"
-}' > "$OUT"
     echo "wrote $OUT"
     exit 0
 fi

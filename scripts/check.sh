@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, tests, then the same tests under the
-# race detector. The race step is a separate stage so a data race in the
-# sharded runtime fails loudly rather than flaking.
+# Tier-1 verification: build, vet, tests, then the focused smoke stages
+# below and finally every test under the race detector. The commit lane,
+# registration catch-up and WAL replay run concurrently with ingest, so the
+# race stages fail loudly on a data race rather than letting it flake.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,19 +25,11 @@ echo "== bench smoke ==" && go test -run xxx -bench '^(BenchmarkFinancial|Benchm
 echo "== metrics overhead smoke ==" && sh scripts/metrics_smoke.sh
 
 # Crash recovery: the in-process fault-injection matrix (every WAL/
-# checkpoint crash point, every torn-write split, three engine variants),
+# checkpoint crash point, every torn-write split, typed and generic engines),
 # then a real kill -9 against a live dbtserver with state compared across
 # the restart.
 echo "== crash recovery ==" && go test ./internal/wal/ -run 'TestCrashRecoveryFaultMatrix|TestDoubleCrashRecovery' -count=1
 bash scripts/crash_smoke.sh
-
-# Pipeline smoke at real parallelism: the concurrent-producer and
-# group-commit paths (SPSC rings, sticky errors, WAL group commit) with
-# GOMAXPROCS forced to at least 4, so ring parking, producer stalls, and
-# commit coalescing run multi-core even when the default would be 1.
-echo "== pipeline smoke (GOMAXPROCS=4) ==" && GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestConcurrentProducers|TestStickyError|TestShardedMatchesSingleThreaded' ./internal/runtime/
-GOMAXPROCS=4 go test -run xxx -bench '^BenchmarkShardScaling/' -benchtime 100x .
 
 # Commit lane smoke: leader commit runs on producers' goroutines, so its
 # contract — exactly-once acks, WAL order = apply order across REGISTER/
@@ -60,9 +53,10 @@ BENCHTIME=10x SUITE=registry OUT="${TMPDIR:-/tmp}/BENCH_registry_smoke.json" sh 
 
 # Replay smoke: replay is live ingest fed from disk, and a catch-up reads
 # the log while the commit lane appends to it — so the differential property
-# test (batched streaming replay vs the record-at-a-time loop, on the
-# Toaster and sharded engines, with a writer appending during the passes), the cursor and read-volume gates, and the crash-recovery fault
-# matrix run under the race detector at real parallelism.
+# test (batched streaming replay vs the record-at-a-time loop, on typed and
+# generic Toasters, with a writer appending during the passes), the cursor
+# and read-volume gates, and the crash-recovery fault matrix run under the
+# race detector at real parallelism.
 echo "== replay smoke (GOMAXPROCS=4) ==" && GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestReplayDifferential|TestReplayBatchesLifecycleOrder|TestCursorResumes|TestCrashRecoveryFaultMatrix|TestDoubleCrashRecovery' ./internal/wal/
 GOMAXPROCS=4 go test -race -count=1 -run 'TestRegisterReadsLogOnce' ./internal/server/
@@ -93,7 +87,7 @@ fi
 
 # Qgen differential + fuzz smoke: seeded random queries over the widened
 # SQL surface (AVG, EXISTS/IN, LEFT OUTER JOIN) must agree bitwise across
-# the typed, generic, and sharded engines and the re-evaluating oracle,
+# the typed and generic engines and the re-evaluating oracle,
 # then a short coverage-guided pass over the seed space.
 echo "== qgen differential smoke ==" && go test ./internal/qgen/ -run 'TestQgenDifferential|TestQgenAlwaysCompiles' -short -count=1
 echo "== qgen fuzz smoke ==" && go test ./internal/qgen/ -run xxx -fuzz FuzzQueryAgreement -fuzztime 10s
