@@ -20,10 +20,11 @@
 //   - float map keys normalize -0.0 to +0.0, types.NewFloat's key
 //     injectivity rule.
 //
-// The generated artifact covers map maintenance (the hot path). Sorted-
-// mirror reads (MIN/MAX extremum lookups and threshold range sums) are a
-// read-time concern served by the embedded runtime; generated code exposes
-// the raw maps, from which a host application can derive those answers.
+// The generated artifact covers map maintenance (the hot path). Ordered
+// reads (MIN/MAX extremum lookups and threshold range sums) are a
+// read-time concern served by the embedded runtime's ordered index;
+// generated code exposes the raw maps, from which a host application can
+// derive those answers.
 package codegen
 
 import (

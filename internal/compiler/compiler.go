@@ -363,8 +363,8 @@ func (c *Compiler) trigger(ev delta.Event) *ir.Trigger {
 // which is what enables map sharing.
 //
 // Key positions follow preferred order first (result maps pass their group
-// variables followed by any extremum/threshold variable, so sorted-mirror
-// range scans can use group prefixes), then first-occurrence order.
+// variables followed by any extremum/threshold variable, so ordered range
+// reads can use group prefixes), then first-occurrence order.
 func canonicalize(factors []algebra.Term, external map[algebra.Var]bool, preferred []algebra.Var) (*algebra.AggSum, []algebra.Var) {
 	sorted := append([]algebra.Term{}, factors...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].String() < sorted[j].String() })

@@ -59,7 +59,7 @@ func Figure2(c *Compiled) string {
 		m := c.Program.Maps[name]
 		sorted := ""
 		if m.Sorted {
-			sorted = "  (sorted mirror)"
+			sorted = "  (sorted)"
 		}
 		fmt.Fprintf(&b, "  %-8s level %d  %s[%s] := %s%s\n",
 			name, m.Level, name, strings.Join(m.Keys, ","), m.Definition, sorted)

@@ -21,8 +21,9 @@ func heapInUse() uint64 {
 // TestApproxBytesTracksHeap holds the size estimate quotas enforce
 // (Map.ApproxBytes through OwnedFootprint) to the heap the maps actually
 // retain: within ±30 % on SSB 4.1 — packed and string-keyed maps carrying
-// up to four slice indexes each — and on per-order turnover, one
-// un-indexed packed map. (The demo's scalar turnover query keeps a single
+// up to four slice indexes each — on per-order turnover, one un-indexed
+// packed map, and on a MIN query's sorted packed map. (The demo's scalar
+// turnover query keeps a single
 // entry; its footprint is the fixed cost of an empty map, which no
 // per-entry estimate describes.)
 func TestApproxBytesTracksHeap(t *testing.T) {
@@ -33,6 +34,9 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 	}{
 		{"ssb41", tpch.QuerySSB41, tpch.Catalog(), tpch.NewGenerator(1, 2).Workload(60000)},
 		{"turnover-by-order", `select id, sum(price * volume) from bids group by id`,
+			orderbook.Catalog(), orderbook.NewGenerator(1, 200000).Events(300000)},
+		// A sorted map: packed (broker, id) keys with an ordered index.
+		{"min-order-by-broker", `select broker, min(id) from bids group by broker`,
 			orderbook.Catalog(), orderbook.NewGenerator(1, 200000).Events(300000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -189,19 +189,18 @@ func (t *viewReader) compValue(q *translate.Query, idx int, group types.Tuple) (
 	case ci.Threshold != nil:
 		return t.thresholdValue(q, ci, group)
 	case kind == translate.CompMin || kind == translate.CompMax:
-		tree := m.Tree()
-		if tree == nil {
-			return types.Null, fmt.Errorf("engine: map %s lacks sorted mirror", ci.MapName)
+		if !m.Decl().Sorted {
+			return types.Null, fmt.Errorf("engine: map %s is not sorted", ci.MapName)
 		}
 		lo := group
 		hi := append(append(types.Tuple{}, group...), types.PosInf)
 		if kind == translate.CompMin {
-			if k, _, ok := tree.First(lo, hi, false, false); ok {
+			if k, _, ok := m.First(lo, hi, false, false); ok {
 				return k[ci.ExtPos], nil
 			}
 			return types.Null, nil
 		}
-		if k, _, ok := tree.Last(lo, hi, false, false); ok {
+		if k, _, ok := m.Last(lo, hi, false, false); ok {
 			return k[ci.ExtPos], nil
 		}
 		return types.Null, nil
@@ -219,9 +218,8 @@ func (t *viewReader) compValue(q *translate.Query, idx int, group types.Tuple) (
 // current value.
 func (t *viewReader) thresholdValue(q *translate.Query, ci compiler.CompInfo, group types.Tuple) (types.Value, error) {
 	m := t.views.Map(ci.MapName)
-	tree := m.Tree()
-	if tree == nil {
-		return types.Null, fmt.Errorf("engine: threshold map %s lacks sorted mirror", ci.MapName)
+	if !m.Decl().Sorted {
+		return types.Null, fmt.Errorf("engine: threshold map %s is not sorted", ci.MapName)
 	}
 	env, err := subValueEnv(q, t.compValue)
 	if err != nil {
@@ -237,17 +235,17 @@ func (t *viewReader) thresholdValue(q *translate.Query, ci compiler.CompInfo, gr
 	var v float64
 	switch ci.Threshold.Op {
 	case algebra.CmpGt:
-		v = tree.RangeSum(atTau, top, true, false)
+		v = m.RangeSum(atTau, top, true, false)
 	case algebra.CmpGte:
-		v = tree.RangeSum(atTau, top, false, false)
+		v = m.RangeSum(atTau, top, false, false)
 	case algebra.CmpLt:
-		v = tree.RangeSum(prefix, atTau, false, true)
+		v = m.RangeSum(prefix, atTau, false, true)
 	case algebra.CmpLte:
-		v = tree.RangeSum(prefix, atTau, false, false)
+		v = m.RangeSum(prefix, atTau, false, false)
 	case algebra.CmpEq:
-		v = tree.RangeSum(atTau, atTau, false, false)
+		v = m.RangeSum(atTau, atTau, false, false)
 	case algebra.CmpNeq:
-		v = tree.RangeSum(prefix, top, false, false) - tree.RangeSum(atTau, atTau, false, false)
+		v = m.RangeSum(prefix, top, false, false) - m.RangeSum(atTau, atTau, false, false)
 	}
 	return types.NewFloat(v), nil
 }

@@ -41,8 +41,8 @@ type MapDecl struct {
 	// Level is the recursion depth at which the map was introduced
 	// (0 = result map of the standing query).
 	Level int
-	// Sorted requests a sorted mirror (order-statistic treap) so the
-	// runtime can answer extremum and threshold range reads.
+	// Sorted requests an ordered index (the map's slots in key order) so
+	// the runtime can answer extremum and threshold range reads.
 	Sorted bool
 	// KeyKinds[i] is the statically inferred kind of key column i, filled
 	// by InferTypes from the catalog and the map's defining algebra. Nil

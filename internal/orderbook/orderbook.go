@@ -33,7 +33,9 @@ func Catalog() *schema.Catalog {
 const (
 	// QueryVWAPThreshold is the uncorrelated VWAP variant: turnover of
 	// bids priced above a fraction of total bid volume. Compiles to a
-	// threshold-rewritten sorted map (O(log n) per delta).
+	// threshold-rewritten sorted map: O(1) per delta to a live price level
+	// (O(log n) when a level is born or dies), and per read a range sum
+	// over the k levels above the threshold (O(log n + k)).
 	QueryVWAPThreshold = `select sum(price * volume) from bids
 		where price > 0.25 * (select sum(volume) from bids)`
 

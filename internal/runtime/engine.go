@@ -167,9 +167,9 @@ func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
 
 // mapLayout selects a map's physical layout: packed storage requires every
 // key position to be statically guaranteed int (see
-// guaranteedIntPositions), arity 1 to 4, and no sorted mirror.
+// guaranteedIntPositions) and arity 1 to 4.
 func mapLayout(d *ir.MapDecl, banned map[string]bool, intPos map[string][]bool) storeKind {
-	if banned[d.Name] || d.Sorted || len(d.Keys) == 0 || len(d.Keys) > 4 {
+	if banned[d.Name] || len(d.Keys) == 0 || len(d.Keys) > 4 {
 		return storeGeneric
 	}
 	g := intPos[d.Name]

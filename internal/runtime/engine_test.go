@@ -224,19 +224,16 @@ func TestSortedMirrorMaintained(t *testing.T) {
 	ins("east", 3, true)
 	ins("east", 7, true)
 	ins("west", 9, true)
-	tree := eng.Map(minMap).Tree()
-	if tree == nil {
-		t.Fatal("sorted mirror missing")
-	}
+	m := eng.Map(minMap)
 	east := types.Tuple{types.NewString("east")}
 	eastHi := types.Tuple{types.NewString("east"), types.PosInf}
-	k, _, ok := tree.First(east, eastHi, false, false)
+	k, _, ok := m.First(east, eastHi, false, false)
 	if !ok || k[1].Int() != 3 {
 		t.Fatalf("min(east) = %v", k)
 	}
-	// Delete the minimum; the mirror must reveal the next one.
+	// Delete the minimum; the ordered index must reveal the next one.
 	ins("east", 3, false)
-	k, _, ok = tree.First(east, eastHi, false, false)
+	k, _, ok = m.First(east, eastHi, false, false)
 	if !ok || k[1].Int() != 5 {
 		t.Fatalf("min(east) after delete = %v", k)
 	}

@@ -1,25 +1,25 @@
 // Package runtime executes compiled trigger programs over in-memory view
 // maps. Maps are hash tables from key tuples to float64 aggregate values,
 // with two optional accelerators: slice indexes (secondary indexes over a
-// subset of key positions, backing the compiler's foreach loops) and a
-// sorted treap mirror (backing MIN/MAX and threshold range reads).
+// subset of key positions, backing the compiler's foreach loops) and an
+// ordered index (backing MIN/MAX and threshold range reads).
 //
 // Every map keeps its entries exactly once, in a dense slot array, and
 // reaches them through one or more access paths: the primary index (all
-// key positions, unique) and the slice indexes (a subset of positions,
-// each a doubly-linked chain of slots per distinct bound sub-key). An
-// access path is an open-addressing table of slot references — it stores
-// no keys and no values — so updating an existing entry touches no slice
-// index, inserting a new key writes one small head table per index, and
-// deleting unlinks in O(1).
+// key positions, unique), the slice indexes (a subset of positions, each a
+// doubly-linked chain of slots per distinct bound sub-key) and, for sorted
+// maps, the ordered index (slot numbers in key order, in blocked leaves).
+// An access path holds slot references only — no keys and no values — so
+// updating an existing entry touches no access path, inserting a new key
+// writes one small head table per slice index (and one leaf of the ordered
+// index), and deleting unlinks in O(1) (and from one leaf).
 //
 // Keys come in two physical forms selected from the program's static type
 // annotations (ir.InferTypes). All-int key tuples of arity 1 to 4 pack
 // into native words beside the value — no types.Value boxing, no kind
-// dispatch. Everything else (string or float keys, arity ≥ 5, sorted
-// mirrors, untyped programs) uses the generic form: boxed values in a
-// flat side array. Both forms share every line of table, chain and slot
-// management below.
+// dispatch. Everything else (string or float keys, arity ≥ 5, untyped
+// programs) uses the generic form: boxed values in a flat side array. Both
+// forms share every line of table, chain, order and slot management.
 //
 // Programs run as pre-compiled closures — the Go analogue of the paper's
 // generated C++. Engines are single-goroutine: one update stream drives
@@ -33,11 +33,9 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"dbtoaster/internal/ir"
 	"dbtoaster/internal/metrics"
-	"dbtoaster/internal/treap"
 	"dbtoaster/internal/types"
 )
 
@@ -89,7 +87,7 @@ type Map struct {
 	primary index
 	indexes []*index
 
-	sorted *treap.Tree
+	order *order // sorted maps only
 	// probe backs the boxed accessors (Get/Add); scanBuf is the reused
 	// tuple packed layouts unpack into for visit callbacks, valid only
 	// inside the callback. Maps are single-goroutine, like the engines
@@ -138,8 +136,8 @@ var (
 	intSeed  = rand.Uint64()
 )
 
-// NewMap creates an empty generic-layout map for the declaration; a sorted
-// mirror is attached when the compiler requested one. Engines call
+// NewMap creates an empty generic-layout map for the declaration, ordered
+// when the compiler requested a sorted map. Engines call
 // newMapWithKind to select a packed layout from the program's type
 // annotations.
 func NewMap(decl *ir.MapDecl) *Map {
@@ -147,9 +145,6 @@ func NewMap(decl *ir.MapDecl) *Map {
 }
 
 func newMapWithKind(decl *ir.MapDecl, kind storeKind) *Map {
-	if kind != storeGeneric && decl.Sorted {
-		panic("runtime: sorted maps must use generic storage")
-	}
 	m := &Map{decl: decl, kind: kind, arity: len(decl.Keys)}
 	m.setStride(int(kind) + 1)
 	all := make([]int, m.arity)
@@ -160,7 +155,7 @@ func newMapWithKind(decl *ir.MapDecl, kind storeKind) *Map {
 	m.probe.vals = make(types.Tuple, m.arity)
 	m.scanBuf = make(types.Tuple, m.arity)
 	if decl.Sorted {
-		m.sorted = treap.New()
+		m.order = &order{m: m}
 	}
 	return m
 }
@@ -186,12 +181,16 @@ func (m *Map) Name() string { return m.decl.Name }
 func (m *Map) Len() int { return m.n }
 
 // entryBytes is the resident cost of one live entry: its slot words (key,
-// value, 8 B of links per slice index), its primary-table cell, and for
-// the generic form its boxed key values.
+// value, 8 B of links per slice index), its primary-table cell, for the
+// generic form its boxed key values, and for a sorted map its share of the
+// ordered index.
 func (m *Map) entryBytes() uint64 {
 	b := uint64(m.stride)*8 + cellBytes
 	if m.kind == storeGeneric {
 		b += uint64(m.arity) * 40
+	}
+	if m.order != nil {
+		b += orderBytes
 	}
 	return b
 }
@@ -445,9 +444,6 @@ func (m *Map) add(k *key, delta float64) {
 		m.insert(k, h, at, delta)
 		return
 	}
-	if m.sorted != nil {
-		m.sorted.Add(k.vals, delta)
-	}
 	w := m.value(s)
 	if v := math.Float64frombits(*w) + delta; v != 0 {
 		*w = math.Float64bits(v)
@@ -455,6 +451,9 @@ func (m *Map) add(k *key, delta float64) {
 	}
 	for _, ix := range m.indexes {
 		ix.unlink(s)
+	}
+	if m.order != nil {
+		m.order.remove(s)
 	}
 	m.primary.del(at)
 	*w = 0
@@ -493,8 +492,8 @@ func (m *Map) insert(k *key, h, at uint32, v float64) {
 	for _, ix := range m.indexes {
 		ix.linkIn(s, k)
 	}
-	if m.sorted != nil {
-		m.sorted.Add(k.vals, v)
+	if m.order != nil {
+		m.order.insert(s)
 	}
 	m.n++
 	if m.n > m.peak {
@@ -543,34 +542,27 @@ func (m *Map) Scan(f func(types.Tuple, float64)) {
 	}
 }
 
-// ScanSorted visits entries in ascending key order. Maps with a sorted
-// mirror walk the order-statistic treap directly (O(n)); others sort a
-// snapshot (O(n log n); intended for result formatting, not hot paths).
-// Like Scan, the tuple is only valid during the callback.
+// ScanSorted visits entries in ascending key order (see cmpSlots). Sorted
+// maps walk their ordered index (O(n)); others sort their live slots
+// (O(n log n); intended for result formatting, not hot paths). Like Scan,
+// the tuple is only valid during the callback.
 func (m *Map) ScanSorted(f func(types.Tuple, float64)) {
-	if m.sorted != nil {
-		m.sorted.Walk(func(t types.Tuple, v float64) bool {
-			f(t, v)
-			return true
-		})
+	visit := func(s int32) { f(m.tuple(s), math.Float64frombits(*m.value(s))) }
+	if m.order != nil {
+		m.order.walk(0, 0, len(m.order.leaves), 0, visit)
 		return
 	}
-	type kv struct {
-		t types.Tuple
-		v float64
+	live := make([]int32, 0, m.n)
+	for s := int32(0); int(s)*m.stride < len(m.words); s++ {
+		if *m.value(s) != 0 {
+			live = append(live, s)
+		}
 	}
-	es := make([]kv, 0, m.Len())
-	m.Scan(func(t types.Tuple, v float64) {
-		es = append(es, kv{t: t.Clone(), v: v})
-	})
-	sort.Slice(es, func(i, j int) bool { return es[i].t.Compare(es[j].t) < 0 })
-	for _, e := range es {
-		f(e.t, e.v)
+	slices.SortFunc(live, m.cmpSlots)
+	for _, s := range live {
+		visit(s)
 	}
 }
-
-// Tree exposes the sorted mirror (nil when the map is not sorted).
-func (m *Map) Tree() *treap.Tree { return m.sorted }
 
 // EnsureSlice returns the access path over the given bound positions
 // (ascending), registering a slice index if none exists; binding every
@@ -651,7 +643,7 @@ func (m *Map) Stats() MemStats {
 		Peak:    m.peak,
 		Updates: m.updates,
 		Slices:  len(m.indexes),
-		Sorted:  m.sorted != nil,
+		Sorted:  m.order != nil,
 		Layout:  m.kind.String(),
 	}
 }

@@ -96,3 +96,37 @@ func BenchmarkMapAdd(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSortedMapChurn measures a sorted map (MIN/MAX and threshold
+// reads) holding exactly n live float keys under key churn: each op is one
+// key death, one birth and two value updates. Keys are distinct multiples
+// of 0.1 scattered over the key space, so births and deaths land anywhere
+// in the order, not at its ends.
+func BenchmarkSortedMapChurn(b *testing.B) {
+	decl := &ir.MapDecl{Name: "t", Keys: []algebra.Var{"k0"}, Sorted: true,
+		Definition: &algebra.AggSum{GroupVars: []algebra.Var{"k0"}, Body: algebra.One()}}
+	key := make(types.Tuple, 1)
+	// setKey spells the i-th key: a bijection of uint32, scaled by 0.1.
+	setKey := func(i int) { key[0] = types.NewFloat(float64(uint32(i)*2654435761) * 0.1) }
+	for _, n := range []int{1_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := NewMap(decl)
+			for i := 0; i < n; i++ {
+				setKey(i)
+				m.Add(key, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				setKey(i) // live keys are i .. i+n-1
+				m.Add(key, -m.Get(key))
+				setKey(i + n)
+				m.Add(key, 1)
+				setKey(i + 1 + i%(n-1))
+				m.Add(key, 0.5)
+				setKey(i + n)
+				m.Add(key, 0.5)
+			}
+		})
+	}
+}

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -13,54 +15,80 @@ import (
 
 // modelMap pairs a Map with a plain Go map holding what it should contain.
 type modelMap struct {
-	t     *testing.T
-	m     *Map
-	arity int
-	model map[string]float64 // fmt of the key tuple → value
-	keys  map[string]types.Tuple
-	paths [][]int // bound-position sets registered so far
+	t      *testing.T
+	m      *Map
+	arity  int
+	domain [][]types.Value    // the values each key position draws from
+	model  map[string]float64 // encoded key tuple → value
+	keys   map[string]types.Tuple
+	paths  [][]int // bound-position sets registered so far
+	rng    uint32  // draws the ordered reads' bounds
 }
 
 // modelLayouts are the layouts the model test covers: every packed arity
-// and a generic map whose first key is a string.
+// and a generic map whose first key is a string, each plain and sorted.
 var modelLayouts = []struct {
-	name  string
-	kind  storeKind
-	arity int
+	name   string
+	kind   storeKind
+	arity  int
+	sorted bool
 }{
-	{"int1", storeI1, 1}, {"int2", storeI2, 2}, {"int3", storeI3, 3}, {"int4", storeI4, 4},
-	{"generic", storeGeneric, 3},
+	{"int1", storeI1, 1, false}, {"int2", storeI2, 2, false}, {"int3", storeI3, 3, false}, {"int4", storeI4, 4, false},
+	{"generic", storeGeneric, 3, false},
+	{"sorted-int1", storeI1, 1, true}, {"sorted-int2", storeI2, 2, true}, {"sorted-int3", storeI3, 3, true},
+	{"sorted-int4", storeI4, 4, true}, {"sorted-generic", storeGeneric, 3, true},
 }
+
+// Key domains: three values per position, small enough that random
+// streams hit the same key again (update, delete-to-zero, re-insert into a
+// vacated slot) and that chains hold several entries. A sorted generic
+// map's middle position mixes what the order has to place: NULL, −0.0
+// (stored as +0.0), non-dyadic floats, and ints equal in value to a float
+// key beside them — distinct keys that types.Value.Compare calls equal.
+var (
+	modelInts    = []types.Value{types.NewInt(-1), types.NewInt(0), types.NewInt(1)} // negative ints pack too
+	modelStrings = []types.Value{types.NewString("s0"), types.NewString("s1"), types.NewString("s2")}
+	modelMixed   = []types.Value{types.Null, types.NewFloat(math.Copysign(0, -1)), types.NewInt(0),
+		types.NewFloat(0.1), types.NewFloat(0.3), types.NewInt(1), types.NewFloat(1)}
+)
 
 func newModelMap(t *testing.T, layout int) *modelMap {
 	l := modelLayouts[layout%len(modelLayouts)]
 	names := []algebra.Var{"k0", "k1", "k2", "k3"}[:l.arity]
-	decl := &ir.MapDecl{Name: l.name, Keys: names,
+	decl := &ir.MapDecl{Name: l.name, Keys: names, Sorted: l.sorted,
 		Definition: &algebra.AggSum{GroupVars: names, Body: algebra.One()}}
-	return &modelMap{t: t, m: newMapWithKind(decl, l.kind), arity: l.arity,
-		model: map[string]float64{}, keys: map[string]types.Tuple{}}
+	domain := make([][]types.Value, l.arity)
+	for i := range domain {
+		switch {
+		case l.kind != storeGeneric:
+			domain[i] = modelInts
+		case i == 0:
+			domain[i] = modelStrings
+		case i == 1 && l.sorted:
+			domain[i] = modelMixed
+		default:
+			domain[i] = modelInts
+		}
+	}
+	return &modelMap{t: t, m: newMapWithKind(decl, l.kind), arity: l.arity, domain: domain,
+		model: map[string]float64{}, keys: map[string]types.Tuple{}, rng: uint32(layout)}
 }
 
-// key spells the n-th key of a 3-values-per-position domain: small enough
-// that random streams hit the same key again (update, delete-to-zero,
-// re-insert into a vacated slot) and that chains hold several entries.
+// key spells the n-th key of the layout's domain.
 func (mm *modelMap) key(n int) types.Tuple {
 	k := make(types.Tuple, mm.arity)
-	for i := range k {
-		d := int64(n % 3)
-		n /= 3
-		if mm.m.kind == storeGeneric && i == 0 {
-			k[i] = types.NewString(fmt.Sprint("s", d))
-		} else {
-			k[i] = types.NewInt(d - 1) // negative ints pack too
-		}
+	for i, d := range mm.domain {
+		k[i] = d[n%len(d)]
+		n /= len(d)
 	}
 	return k
 }
 
+func modelID(k types.Tuple) string { return string(types.EncodeKey(k)) }
+
 func (mm *modelMap) add(k types.Tuple, d float64) {
 	mm.m.Add(k, d)
-	id := k.String()
+	id := modelID(k)
 	if v := mm.model[id] + d; v != 0 {
 		mm.model[id], mm.keys[id] = v, k
 	} else {
@@ -101,7 +129,7 @@ func (mm *modelMap) check() {
 		}
 	}
 	seen := map[string]float64{}
-	m.Scan(func(k types.Tuple, v float64) { seen[k.String()] += v })
+	m.Scan(func(k types.Tuple, v float64) { seen[modelID(k)] += v })
 	if fmt.Sprint(seen) != fmt.Sprint(mm.model) {
 		t.Fatalf("Scan = %v, model %v", seen, mm.model)
 	}
@@ -114,39 +142,171 @@ func (mm *modelMap) check() {
 			for i, p := range pos {
 				b[i] = k[p]
 			}
-			if want[b.String()] == nil {
-				want[b.String()], bounds[b.String()] = map[string]float64{}, b
+			if want[modelID(b)] == nil {
+				want[modelID(b)], bounds[modelID(b)] = map[string]float64{}, b
 			}
-			want[b.String()][id] = mm.model[id]
+			want[modelID(b)][id] = mm.model[id]
 		}
 		absent := make(types.Tuple, len(pos))
 		for i := range absent {
 			absent[i] = types.NewInt(99)
 		}
 		if len(pos) > 0 {
-			want[absent.String()], bounds[absent.String()] = map[string]float64{}, absent
+			want[modelID(absent)], bounds[modelID(absent)] = map[string]float64{}, absent
 		}
 		for bid, b := range bounds {
 			got := map[string]float64{}
 			n := 0
-			ix.Iterate(b, func(k types.Tuple, v float64) { got[k.String()] = v; n++ })
+			ix.Iterate(b, func(k types.Tuple, v float64) { got[modelID(k)] = v; n++ })
 			if n != len(got) || fmt.Sprint(got) != fmt.Sprint(want[bid]) {
-				t.Fatalf("Iterate%v(%s) visited %d: %v, model %v", pos, bid, n, got, want[bid])
+				t.Fatalf("Iterate%v(%v) visited %d: %v, model %v", pos, bounds[bid], n, got, want[bid])
+			}
+		}
+	}
+	mm.checkOrder()
+}
+
+// modelCompare is the order a sorted map keeps: types.Tuple.Compare, with
+// the ties it leaves between distinct keys broken by value kind.
+func modelCompare(a, b types.Tuple) int {
+	if c := a.Compare(b); c != 0 {
+		return c
+	}
+	for i := range a {
+		if c := cmp.Compare(a[i].Kind(), b[i].Kind()); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+type modelEntry struct {
+	k types.Tuple
+	v float64
+}
+
+func (e modelEntry) String() string { return fmt.Sprintf("%v=%v", e.k, e.v) }
+
+// checkOrder compares ScanSorted on every layout, and First, Last and
+// RangeSum on sorted ones, with the model sorted by modelCompare. Each
+// ordered read takes random prefix bounds — open or closed, drawn from the
+// key domain plus a float between ints, NULL and types.PosInf — or none.
+func (mm *modelMap) checkOrder() {
+	t, m := mm.t, mm.m
+	t.Helper()
+	want := make([]modelEntry, 0, len(mm.model))
+	for id, v := range mm.model {
+		want = append(want, modelEntry{mm.keys[id], v})
+	}
+	slices.SortFunc(want, func(a, b modelEntry) int { return modelCompare(a.k, b.k) })
+	var got []modelEntry
+	m.ScanSorted(func(k types.Tuple, v float64) { got = append(got, modelEntry{k.Clone(), v}) })
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ScanSorted = %v, model %v", got, want)
+	}
+	for i := 1; i < len(got); i++ {
+		if modelCompare(got[i-1].k, got[i].k) >= 0 {
+			t.Fatalf("ScanSorted out of order at %d: %v then %v", i, got[i-1].k, got[i].k)
+		}
+	}
+	if m.order == nil {
+		return
+	}
+	for q := 0; q < 24; q++ {
+		lo, hi := mm.bound(), mm.bound()
+		loOpen, hiOpen := mm.draw(2) == 0, mm.draw(2) == 0
+		var in []modelEntry
+		sum := 0.0
+		for _, e := range want {
+			if aboveBound(e.k, lo, loOpen) && belowBound(e.k, hi, hiOpen) {
+				in = append(in, e)
+				sum += e.v
+			}
+		}
+		if got := m.RangeSum(lo, hi, loOpen, hiOpen); math.Float64bits(got) != math.Float64bits(sum) {
+			t.Fatalf("RangeSum(%v, %v, %v, %v) = %v, model %v over %v", lo, hi, loOpen, hiOpen, got, sum, in)
+		}
+		for _, last := range []bool{false, true} {
+			read, name := m.First, "First"
+			var exp modelEntry
+			if len(in) > 0 {
+				exp = in[0]
+			}
+			if last {
+				read, name = m.Last, "Last"
+				if len(in) > 0 {
+					exp = in[len(in)-1]
+				}
+			}
+			k, v, ok := read(lo, hi, loOpen, hiOpen)
+			if ok != (len(in) > 0) || ok && (modelID(k) != modelID(exp.k) || v != exp.v) {
+				t.Fatalf("%s(%v, %v, %v, %v) = %v %v %v, model %v", name, lo, hi, loOpen, hiOpen, k, v, ok, in)
 			}
 		}
 	}
 }
 
+func (mm *modelMap) draw(n int) int {
+	mm.rng = mm.rng*1664525 + 1013904223
+	return int(mm.rng>>8) % n
+}
+
+// bound draws a random prefix bound, nil (unbounded) one time in eight.
+func (mm *modelMap) bound() types.Tuple {
+	if mm.draw(8) == 0 {
+		return nil
+	}
+	b := make(types.Tuple, mm.draw(mm.arity+1))
+	for i := range b {
+		d := mm.domain[i]
+		switch r := mm.draw(len(d) + 3); {
+		case r < len(d):
+			b[i] = d[r]
+		case r == len(d):
+			b[i] = types.NewFloat(0.5)
+		case r == len(d)+1:
+			b[i] = types.Null
+		default:
+			b[i] = types.PosInf
+		}
+	}
+	return b
+}
+
+// aboveBound and belowBound are the range predicates RangeSum documents,
+// spelled out over types.Tuple.Compare; a nil bound admits every key.
+func aboveBound(k, lo types.Tuple, open bool) bool {
+	if lo == nil {
+		return true
+	}
+	c := k.Compare(lo)
+	return c > 0 || c == 0 && !open
+}
+
+func belowBound(k, hi types.Tuple, open bool) bool {
+	if hi == nil {
+		return true
+	}
+	c := k.Compare(hi)
+	return c < 0 || c == 0 && !open
+}
+
 // FuzzMapIndexModel drives random Add / delete-to-zero / re-insert /
-// late EnsureSlice sequences against every layout and checks the map
-// against a plain Go map through every access path. Each op is two bytes:
-// the first picks the op (and the delta's sign), the second the key or the
-// position mask.
+// late EnsureSlice sequences against every layout, plain and sorted, and
+// checks the map against a plain Go map through every access path,
+// ordered reads included. Each op is two bytes: the first picks the op
+// (and the delta's sign), the second the key or the position mask.
 func FuzzMapIndexModel(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 0, 1, 1, 1, 250, 0})
 	f.Add(uint8(1), []byte{0, 5, 0, 7, 210, 1, 0, 8, 1, 5, 0, 5, 210, 2, 250, 0})
 	f.Add(uint8(3), []byte{210, 3, 0, 9, 0, 10, 0, 36, 210, 8, 1, 9, 0, 40, 1, 10, 210, 6, 0, 9})
 	f.Add(uint8(4), []byte{0, 1, 0, 2, 0, 4, 210, 1, 210, 6, 1, 2, 0, 2, 1, 1, 1, 4, 210, 0})
+	// Sorted layouts: births out of key order, a death at the front and in
+	// the middle, re-insertion of a dead key, reads between.
+	f.Add(uint8(5), []byte{0, 2, 0, 0, 0, 1, 250, 0, 1, 0, 250, 0, 0, 0, 1, 1, 250, 0})
+	f.Add(uint8(6), []byte{0, 8, 0, 3, 0, 5, 0, 0, 210, 1, 1, 3, 250, 0, 0, 3, 1, 8, 250, 0})
+	f.Add(uint8(8), []byte{0, 80, 0, 1, 0, 40, 0, 27, 1, 40, 250, 0, 210, 5, 0, 40, 1, 1, 250, 0})
+	f.Add(uint8(9), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 250, 0, 1, 3, 0, 10, 1, 1, 210, 2, 250, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, layout uint8, ops []byte) {
 		mm := newModelMap(t, int(layout))
 		for i := 0; i+1 < len(ops) && i < 400; i += 2 {
@@ -187,6 +347,79 @@ func TestMapIndexModelLongRun(t *testing.T) {
 				}
 			}
 			mm.check()
+		})
+	}
+}
+
+// TestOrderedIndexLeaves runs the sorted layouts over key sets many leaves
+// wide: births until leaves split, deaths until they empty and merge, and
+// re-births into the thinned index, checked against the model throughout.
+// Merging keeps every two neighbouring leaves at least half a leaf between
+// them, so the leaf count stays within n/(leafCap/4) + 1 for n live keys.
+func TestOrderedIndexLeaves(t *testing.T) {
+	wide := make([]types.Value, 4*leafCap)
+	for i := range wide {
+		wide[i] = types.NewInt(int64(i*7919%len(wide) - leafCap))
+	}
+	for _, layout := range []int{5, 9} { // sorted-int1, sorted-generic
+		l := modelLayouts[layout]
+		t.Run(l.name, func(t *testing.T) {
+			mm := newModelMap(t, layout)
+			mm.domain[len(mm.domain)-1] = wide
+			x := uint32(99 + layout)
+			next := func(n int) int {
+				x = x*1664525 + 1013904223
+				return int(x>>8) % n
+			}
+			span := len(wide)
+			for _, d := range mm.domain[:len(mm.domain)-1] {
+				span *= len(d)
+			}
+			leaves := func() {
+				t.Helper()
+				o := mm.m.order
+				for j, lf := range o.leaves {
+					if lf.n < 1 || lf.n > leafCap {
+						t.Fatalf("leaf %d holds %d slots", j, lf.n)
+					}
+				}
+				if n := mm.m.Len(); len(o.leaves) > n/(leafCap/4)+1 {
+					t.Fatalf("%d leaves for %d keys", len(o.leaves), n)
+				}
+			}
+			var live []types.Tuple
+			for _, phase := range []struct {
+				births, deaths, ops int
+				grow                bool
+			}{
+				{9, 1, 6000, true},  // grow: splits
+				{1, 9, 9000, false}, // shrink: empty and merged leaves
+				{8, 2, 6000, true},  // regrow into reused leaves
+			} {
+				for i := 0; i < phase.ops; i++ {
+					if next(phase.births+phase.deaths) < phase.births {
+						k := mm.key(next(span))
+						if mm.model[modelID(k)] == 0 {
+							live = append(live, k)
+						}
+						mm.add(k, 1)
+					} else if len(live) > 0 {
+						at := next(len(live))
+						k := live[at]
+						live[at] = live[len(live)-1]
+						live = live[:len(live)-1]
+						mm.add(k, -mm.model[modelID(k)])
+					}
+					if i%1000 == 0 {
+						leaves()
+					}
+				}
+				leaves()
+				if n := len(mm.m.order.leaves); phase.grow && n < 3 || !phase.grow && n > 1 {
+					t.Fatalf("phase ended with %d keys in %d leaves", len(live), n)
+				}
+				mm.check()
+			}
 		})
 	}
 }

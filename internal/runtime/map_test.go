@@ -110,30 +110,6 @@ func TestEnsureSliceIdempotentAndLateBackfill(t *testing.T) {
 	}
 }
 
-func TestSortedMirrorConsistency(t *testing.T) {
-	m := newTestMap(true, "k0")
-	r := rand.New(rand.NewSource(5))
-	ref := map[int64]float64{}
-	for i := 0; i < 2000; i++ {
-		key := int64(r.Intn(50))
-		d := float64(r.Intn(9) - 4)
-		m.Add(k(key), d)
-		ref[key] += d
-		if ref[key] == 0 {
-			delete(ref, key)
-		}
-	}
-	if m.Tree().Len() != len(ref) || m.Len() != len(ref) {
-		t.Fatalf("sizes: tree=%d map=%d ref=%d", m.Tree().Len(), m.Len(), len(ref))
-	}
-	m.Tree().Walk(func(tp types.Tuple, v float64) bool {
-		if ref[tp[0].Int()] != v {
-			t.Fatalf("mirror mismatch at %v: %v vs %v", tp, v, ref[tp[0].Int()])
-		}
-		return true
-	})
-}
-
 func TestScanSortedOrder(t *testing.T) {
 	m := newTestMap(false, "k0")
 	for _, v := range []int64{5, 1, 9, 3} {
@@ -235,45 +211,6 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 	if err := eng.Restore(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
-	}
-}
-
-// TestScanSortedTreapMatchesSnapshot pins the two ScanSorted paths to each
-// other: a sorted map (order-statistic treap mirror, walked directly) and
-// an unsorted map (snapshot + sort) fed the same random add/delete stream
-// must visit identical (key, value) sequences.
-func TestScanSortedTreapMatchesSnapshot(t *testing.T) {
-	mirror := newTestMap(true, "k0", "k1")
-	plain := newTestMap(false, "k0", "k1")
-	r := rand.New(rand.NewSource(17))
-	for i := 0; i < 3000; i++ {
-		key := k(int64(r.Intn(20)), int64(r.Intn(20)))
-		d := float64(r.Intn(9) - 4)
-		mirror.Add(key, d)
-		plain.Add(key, d)
-	}
-	type kv struct {
-		k0, k1 int64
-		v      float64
-	}
-	collect := func(m *Map) []kv {
-		var out []kv
-		m.ScanSorted(func(tp types.Tuple, v float64) {
-			out = append(out, kv{tp[0].Int(), tp[1].Int(), v})
-		})
-		return out
-	}
-	want, got := collect(mirror), collect(plain)
-	if len(want) == 0 {
-		t.Fatal("degenerate stream: empty map")
-	}
-	if len(want) != len(got) {
-		t.Fatalf("entry counts differ: treap %d, snapshot %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("entry %d differs: treap %+v, snapshot %+v", i, want[i], got[i])
-		}
 	}
 }
 

@@ -232,7 +232,7 @@ func validateEntries(m *Map, ms mapStage) error {
 }
 
 // clearEngineMaps empties every map through the Add path, keeping slice
-// indexes and sorted mirrors coherent.
+// and ordered indexes coherent.
 func clearEngineMaps(e *Engine) {
 	for _, name := range e.prog.MapOrder {
 		m := e.maps[name]

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -28,7 +30,12 @@ func durCatalog() *schema.Catalog {
 
 func startDurable(t *testing.T, sql string, opts Options) (*Server, *Client) {
 	t.Helper()
-	s, err := NewWithOptions(sql, durCatalog(), opts)
+	return startDurableOn(t, durCatalog(), sql, opts)
+}
+
+func startDurableOn(t *testing.T, cat *schema.Catalog, sql string, opts Options) (*Server, *Client) {
+	t.Helper()
+	s, err := NewWithOptions(sql, cat, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +117,57 @@ func TestServerCheckpointRecover(t *testing.T) {
 	// The recovered server keeps ingesting and stays durable.
 	if err := c2.Insert("R", types.NewInt(1), types.NewInt(3)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerCheckpointRecoverThreshold: a threshold query over
+// non-dyadic prices (multiples of 0.1, whose float sums depend on the order
+// they are added in) answers bit for bit the same after CHECKPOINT, a
+// post-checkpoint tail of inserts and deletes, and a restart with
+// recovery: its range sum is a function of the recovered state alone.
+func TestServerCheckpointRecoverThreshold(t *testing.T) {
+	dir := t.TempDir()
+	cat := schema.NewCatalog(schema.NewRelation("bids", "price:float", "volume:float"))
+	sql := "select sum(price * volume) from bids where price > 0.25 * (select sum(volume) from bids)"
+	_, c := startDurableOn(t, cat, sql, Options{WALDir: dir})
+	r := rand.New(rand.NewSource(14))
+	var live []types.Tuple
+	batch := func(n int) {
+		t.Helper()
+		var evs []stream.Event
+		for len(evs) < n {
+			if len(live) > 0 && r.Intn(4) == 0 {
+				i := r.Intn(len(live))
+				evs = append(evs, stream.Del("bids", live[i]...))
+				live = append(live[:i], live[i+1:]...)
+				continue
+			}
+			tp := types.Tuple{types.NewFloat(float64(r.Intn(20000)+1) * 0.1), types.NewFloat(float64(r.Intn(9) + 1))}
+			evs = append(evs, stream.Ins("bids", tp...))
+			live = append(live, tp)
+		}
+		if err := c.Batch(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch(300)
+	if _, _, err := c.Checkpoint(); err != nil {
+		t.Fatalf("CHECKPOINT: %v", err)
+	}
+	batch(100)
+	_, wantRows, err := c.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	_, c2 := startDurableOn(t, cat, sql, Options{WALDir: dir, Recover: true})
+	_, gotRows, err := c2.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(gotRows) != fmt.Sprint(wantRows) {
+		t.Fatalf("recovered rows %v, want %v", gotRows, wantRows)
 	}
 }
 

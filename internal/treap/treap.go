@@ -1,8 +1,9 @@
 // Package treap implements an order-statistic treap keyed by value tuples
-// with augmented subtree sums. The runtime mirrors "sorted" view maps into
-// a treap so MIN/MAX reads and threshold range aggregates (rewritten
-// subquery comparisons) run in O(log n), while ordinary map updates stay
-// O(1) on the hash side.
+// with augmented subtree sums. The order book's hand-written correlated-VWAP
+// processor keeps its price levels in two of them: a suffix-threshold
+// descent over volume and a range sum over turnover, both O(log n). (The
+// runtime's sorted view maps keep their order in the map's own ordered
+// index instead.)
 package treap
 
 import (
@@ -267,50 +268,6 @@ func belowHi(key, hi types.Tuple, open bool) bool {
 		return c < 0
 	}
 	return c <= 0
-}
-
-// First returns the smallest key in the bounded range.
-func (t *Tree) First(lo, hi types.Tuple, loOpen, hiOpen bool) (types.Tuple, float64, bool) {
-	n := t.root
-	var best *node
-	for n != nil {
-		if !aboveLo(n.key, lo, loOpen) {
-			n = n.r
-			continue
-		}
-		if !belowHi(n.key, hi, hiOpen) {
-			n = n.l
-			continue
-		}
-		best = n
-		n = n.l
-	}
-	if best == nil {
-		return nil, 0, false
-	}
-	return best.key, best.val, true
-}
-
-// Last returns the largest key in the bounded range.
-func (t *Tree) Last(lo, hi types.Tuple, loOpen, hiOpen bool) (types.Tuple, float64, bool) {
-	n := t.root
-	var best *node
-	for n != nil {
-		if !belowHi(n.key, hi, hiOpen) {
-			n = n.l
-			continue
-		}
-		if !aboveLo(n.key, lo, loOpen) {
-			n = n.r
-			continue
-		}
-		best = n
-		n = n.r
-	}
-	if best == nil {
-		return nil, 0, false
-	}
-	return best.key, best.val, true
 }
 
 // Walk visits all entries in key order; returning false stops the walk.

@@ -119,16 +119,9 @@ func TestPrefixBounds(t *testing.T) {
 	if got := tr.RangeSum(key(2, 5), types.Tuple{types.NewInt(2), types.PosInf}, true, false); got != 8 {
 		t.Errorf("group-2 >5 sum = %v", got)
 	}
-	// Min/max per group.
-	if k, v, ok := tr.First(key(2), types.Tuple{types.NewInt(2), types.PosInf}, false, false); !ok || k[1].Int() != 5 || v != 4 {
-		t.Errorf("group-2 min = %v %v %v", k, v, ok)
-	}
-	if k, _, ok := tr.Last(key(1), types.Tuple{types.NewInt(1), types.PosInf}, false, false); !ok || k[1].Int() != 20 {
-		t.Errorf("group-1 max = %v", k)
-	}
 	// Empty group.
-	if _, _, ok := tr.First(key(3), types.Tuple{types.NewInt(3), types.PosInf}, false, false); ok {
-		t.Error("phantom group")
+	if got := tr.RangeSum(key(3), types.Tuple{types.NewInt(3), types.PosInf}, false, false); got != 0 {
+		t.Errorf("phantom group sum = %v", got)
 	}
 }
 
@@ -196,22 +189,6 @@ func TestAgainstReference(t *testing.T) {
 	}
 	if got := tr.Sum(); got != want {
 		t.Fatalf("Sum = %v, want %v", got, want)
-	}
-}
-
-func TestFirstLastUnbounded(t *testing.T) {
-	tr := New()
-	if _, _, ok := tr.First(nil, nil, false, false); ok {
-		t.Error("First on empty tree")
-	}
-	for _, v := range []int64{7, 3, 9} {
-		tr.Set(key(v), 1)
-	}
-	if k, _, _ := tr.First(nil, nil, false, false); k[0].Int() != 3 {
-		t.Errorf("First = %v", k)
-	}
-	if k, _, _ := tr.Last(nil, nil, false, false); k[0].Int() != 9 {
-		t.Errorf("Last = %v", k)
 	}
 }
 

@@ -71,9 +71,14 @@ go test ./internal/codegen/ -run 'TestGeneratedDriver|TestGoldenGeneratedDriver|
 
 # Import graph: the generated code is a test-only oracle, so no command may
 # link the plugin package (importing it keeps every exported method alive
-# in the binary).
+# in the binary). Sorted maps keep their order in the map's own ordered
+# index, so the runtime and the engine may not reach the treap (which only
+# the order book's hand-written VWAP processor uses).
 echo "== import graph ==" && if go list -deps ./cmd/... | grep -x plugin; then
     echo "a command imports the plugin package" && exit 1
+fi
+if go list -deps ./internal/runtime ./internal/engine | grep -x dbtoaster/internal/treap; then
+    echo "the runtime or the engine imports the treap package" && exit 1
 fi
 
 # Static build: net is the one package dbtserver links that uses cgo, and
