@@ -32,5 +32,17 @@ bench:
 	scripts/bench.sh
 	SUITE=registry scripts/bench.sh
 
+# Every fuzz target CI runs, plus the batch-vs-per-event agreement fuzz;
+# `go test -fuzz` takes one target per run.
+FUZZ_TARGETS = \
+	engine:FuzzMapInvariants engine:FuzzBatchAgreement \
+	runtime:FuzzMapIndexModel runtime:FuzzRestore \
+	qgen:FuzzQueryAgreement \
+	server:FuzzServerCommand server:FuzzDeltaCodec \
+	wal:FuzzDecodeEventInto wal:FuzzSegmentOpen wal:FuzzEventDecode
+
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzShardedAgreement -fuzztime 10s ./internal/engine
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "== $$t =="; \
+		$(GO) test -run xxx -fuzz "^$${t#*:}$$" -fuzztime 10s ./internal/$${t%%:*}/; \
+	done

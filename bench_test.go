@@ -8,8 +8,7 @@
 //     per-event-type cost (the demo's per-map profiling).
 //   - BenchmarkCompile*/BenchmarkCodegen: §4.2's compile-time profile.
 //   - BenchmarkAblation*: design-choice ablations from DESIGN.md
-//     (slice indexes, typed storage, recursion depth vs first-order IVM,
-//     map sharing).
+//     (slice indexes, recursion depth vs first-order IVM, map sharing).
 package dbtoaster_test
 
 import (
@@ -45,8 +44,6 @@ func newBenchEngine(b *testing.B, name, sql string, cat *schema.Catalog) engine.
 		e, err = engine.NewToaster(q, runtime.Options{})
 	case "dbtoaster-noslice":
 		e, err = engine.NewToaster(q, runtime.Options{NoSliceIndex: true})
-	case "dbtoaster-generic":
-		e, err = engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
 	case "first-order-ivm":
 		e = engine.NewIVM(q)
 	case "naive-reeval":
@@ -272,33 +269,6 @@ func BenchmarkAblationSliceIndex(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			runStream(b, newBenchEngine(b, name, paperSQL, rstCatalog()), events)
 		})
-	}
-}
-
-// BenchmarkAblationTypedStorage: the typed physical layer (packed int-key
-// maps, unboxed trigger kernels) vs the all-generic layout
-// (Options.NoTypedStorage) across the int-keyed suites. This is the
-// measured basis for EXPERIMENTS.md's typed-layer table (BENCH_typed.json
-// via scripts/bench.sh).
-func BenchmarkAblationTypedStorage(b *testing.B) {
-	workloads := []struct {
-		name   string
-		sql    string
-		cat    *schema.Catalog
-		events []stream.Event
-	}{
-		{"Turnover", orderbook.QueryBidTurnover, orderbook.Catalog(), financialEvents(b)},
-		{"SSB11", tpch.QuerySSB11, tpch.Catalog(), warehouseEvents(b)},
-		{"SSB41", tpch.QuerySSB41, tpch.Catalog(), warehouseEvents(b)},
-		{"LoadMonitor", tpch.QueryLoadMonitor, tpch.Catalog(), warehouseEvents(b)},
-		{"PaperRST", paperSQL, rstCatalog(), rstEvents(9000)},
-	}
-	for _, w := range workloads {
-		for _, name := range []string{"dbtoaster", "dbtoaster-generic"} {
-			b.Run(w.name+"/"+name, func(b *testing.B) {
-				runStream(b, newBenchEngine(b, name, w.sql, w.cat), w.events)
-			})
-		}
 	}
 }
 

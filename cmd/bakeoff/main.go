@@ -30,7 +30,7 @@ func main() {
 		events   = flag.Int("events", 20000, "events fed to the compiled engine")
 		slowCap  = flag.Int("slowcap", 2000, "event cap for the per-event-reevaluation baselines")
 		seed     = flag.Int64("seed", 1, "workload generator seed")
-		ablation = flag.Bool("ablation", false, "also run the no-slice and generic-storage ablations")
+		ablation = flag.Bool("ablation", false, "also run the no-slice-index ablation")
 		sweep    = flag.Bool("sweep", false, "also print throughput-vs-stream-position series")
 		batch    = flag.Int("batch", 0, "feed engines in OnEventBatch chunks of this size (0 = per-event)")
 		metrics  = flag.String("metrics-out", "", "instrument the dbtoaster contenders and keep writing steady-state metrics snapshots to this JSON file (e.g. BENCH_metrics.json)")
@@ -72,7 +72,7 @@ func main() {
 
 	engines := []string{"dbtoaster", "naive-reeval", "first-order-ivm"}
 	if *ablation {
-		engines = append(engines, "dbtoaster-noslice", "dbtoaster-generic")
+		engines = append(engines, "dbtoaster-noslice")
 	}
 	if *walDir != "" {
 		engines = append(engines, "dbtoaster-wal")

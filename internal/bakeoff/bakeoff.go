@@ -28,9 +28,9 @@ type Config struct {
 	SQL     string
 	Catalog *schema.Catalog
 	Events  []stream.Event
-	// Engines filters which engines run ("dbtoaster", "dbtoaster-generic",
-	// "naive-reeval", "first-order-ivm", ...); empty
-	// means the standard trio.
+	// Engines filters which engines run ("dbtoaster", "dbtoaster-noslice",
+	// "naive-reeval", "first-order-ivm", ...); empty means the standard
+	// trio.
 	Engines []string
 	// MaxEventsSlow caps the events fed to the O(n·|D|) baselines so a
 	// large stream still finishes; their throughput is measured over the
@@ -90,9 +90,6 @@ func buildEngine(name string, q *engine.Query, opts runtime.Options) (engine.Eng
 		return engine.NewToaster(q, opts)
 	case "dbtoaster-noslice":
 		opts.NoSliceIndex = true
-		return engine.NewToaster(q, opts)
-	case "dbtoaster-generic":
-		opts.NoTypedStorage = true
 		return engine.NewToaster(q, opts)
 	case "naive-reeval":
 		return engine.NewNaive(q), nil

@@ -77,7 +77,7 @@ func TestRunSelectedEngines(t *testing.T) {
 		SQL:     orderbook.QueryBidTurnover,
 		Catalog: orderbook.Catalog(),
 		Events:  evs,
-		Engines: []string{"dbtoaster", "dbtoaster-generic", "dbtoaster-noslice"},
+		Engines: []string{"dbtoaster", "dbtoaster-noslice", "naive-reeval"},
 	})
 	if err != nil {
 		t.Fatal(err)

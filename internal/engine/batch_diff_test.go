@@ -121,16 +121,15 @@ var shardFuzzQueries = []string{
 	"select B, min(A), count(*) from R group by B",
 }
 
-// FuzzShardedAgreement fuzzes the event order, event mix and batch chunk
+// FuzzBatchAgreement fuzzes the event order, event mix and batch chunk
 // size, and requires a Toaster fed through OnEventBatch to agree exactly
-// with a per-event Toaster oracle on the same stream. The name is kept
-// from the sharded runtime, whose engines it also fuzzed.
+// with a per-event Toaster oracle on the same stream.
 //
 // Input layout: byte 0 → batch chunk size, byte 1 → query index, then 3
 // bytes per event: [op/relation selector, column values...]. An odd
 // selector deletes a previously inserted tuple (chosen by the same byte),
 // keeping streams well-formed so every engine sees valid deltas.
-func FuzzShardedAgreement(f *testing.F) {
+func FuzzBatchAgreement(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 2, 0, 3, 4, 1, 1, 2})
 	f.Add([]byte{8, 1, 0, 1, 1, 2, 1, 1, 4, 2, 2, 6, 3, 3})
 	f.Add([]byte{1, 3, 0, 0, 0, 2, 1, 1, 4, 2, 2, 3, 0, 0, 5, 1, 2})

@@ -13,11 +13,11 @@ import (
 )
 
 // TestMetricsDifferential pins the observability layer's first law:
-// instrumentation must not change results. For every query in the typed
+// instrumentation must not change results. For every query in the
 // differential lineup, an instrumented engine must produce map states and
 // results bitwise identical to an uninstrumented one over the same stream.
 func TestMetricsDifferential(t *testing.T) {
-	cat, queries := typedDiffQueries()
+	cat, queries := diffQueries()
 	rels := []string{"T0", "T1"}
 	for qi, src := range queries {
 		t.Run(fmt.Sprintf("query%d", qi), func(t *testing.T) {
@@ -27,7 +27,7 @@ func TestMetricsDifferential(t *testing.T) {
 			}
 			for trial := 0; trial < 2; trial++ {
 				r := rand.New(rand.NewSource(int64(9000 + 100*qi + trial)))
-				events := typedDiffStream(r, rels, 250)
+				events := diffStream(r, rels, 250)
 
 				plain, err := NewToaster(q, runtime.Options{})
 				if err != nil {

@@ -11,8 +11,8 @@ import (
 )
 
 // buildEngines constructs the engine panel for one query: the recursively
-// compiled engine over typed and untyped storage, and the re-evaluating
-// Volcano baseline as the semantic oracle.
+// compiled engine and the re-evaluating Volcano baseline as the semantic
+// oracle.
 func buildEngines(src string) ([]engine.Engine, error) {
 	q, err := engine.Prepare(src, qgen.Catalog())
 	if err != nil {
@@ -22,15 +22,11 @@ func buildEngines(src string) ([]engine.Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("toaster: %w", err)
 	}
-	untyped, err := engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
-	if err != nil {
-		return nil, fmt.Errorf("untyped toaster: %w", err)
-	}
 	oracle := engine.NewNaive(q)
 	// The generated Go is checked against the compiled engine by
 	// TestNativeQgenDifferential in internal/engine, over a fixed seed set:
 	// every distinct query costs a `go build`.
-	return []engine.Engine{typed, untyped, oracle}, nil
+	return []engine.Engine{typed, oracle}, nil
 }
 
 // runDifferential feeds the trace to every engine and requires bitwise

@@ -12,20 +12,22 @@ import (
 // whose value kind contradicts the trigger's declared column kind must be
 // rejected with an error at admission — never a panic from the packed-key
 // encoder deeper in the engine — and the engine must stay usable. The
-// check must hold on every physical layer (typed, generic) and under the
-// debugger's statement wrapper.
+// check must hold on every physical layout (an int-keyed group-by packs,
+// a scalar sum stays generic) and under the debugger's statement wrapper.
 func TestAdmissionKindMismatch(t *testing.T) {
 	cat := rstCatalog()
-	c := compileSQL(t, cat, "select A, sum(B) from R group by A")
+	const grouped = "select A, sum(B) from R group by A"
 	for _, tc := range []struct {
 		name string
+		sql  string
 		opts Options
 	}{
-		{"typed", Options{}},
-		{"generic", Options{NoTypedStorage: true}},
-		{"wrapped", Options{StmtWrapper: func(_ *ir.Stmt, run func()) { run() }}},
+		{"typed", grouped, Options{}},
+		{"generic", "select sum(B) from R", Options{}},
+		{"wrapped", grouped, Options{StmtWrapper: func(_ *ir.Stmt, run func()) { run() }}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			c := compileSQL(t, cat, tc.sql)
 			eng, err := NewEngine(c.Program, tc.opts)
 			if err != nil {
 				t.Fatal(err)

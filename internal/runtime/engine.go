@@ -20,10 +20,6 @@ type Options struct {
 	// run() executes it. The debugger uses it for stepping and map-diff
 	// tracing.
 	StmtWrapper func(stmt *ir.Stmt, run func())
-	// NoTypedStorage forces generic map storage and boxed closures even
-	// for programs whose type annotations would allow packed int keys and
-	// unboxed kernels (ablation and differential baseline).
-	NoTypedStorage bool
 	// Metrics, when non-nil, instruments the engine: per-(relation, op)
 	// trigger counters and sampled latency histograms, and live per-map
 	// entry gauges. Nil keeps the hot path identical to an uninstrumented
@@ -47,8 +43,8 @@ type Options struct {
 	// new engine takes it over, state included, and maintains it).
 	// Candidates whose physical layout does not match what this build
 	// selects are declined — Shared falls back to Transfer, Transfer to a
-	// fresh map; a declined Transfer on a converged build is an error,
-	// since silently dropping its state would be data loss.
+	// fresh map; a declined Transfer is an error, since silently dropping
+	// its state would be data loss.
 	MapSource func(name string) SourcedMap
 }
 
@@ -84,11 +80,8 @@ type Engine struct {
 	// ordinal; only OnEvent consults it.
 	ords   map[string]int
 	events uint64
-	// demote collects packed maps that typed compilation could not prove
-	// safe; non-empty after construction means NewEngine must rebuild.
-	demote map[string]bool
 	// intPos marks key positions statically guaranteed to hold KindInt
-	// values (typed mode only; see guaranteedIntPositions).
+	// values (see guaranteedIntPositions).
 	intPos map[string][]bool
 	// sink is the effective metrics sink (nil when instrumentation is off).
 	sink *metrics.Sink
@@ -96,33 +89,30 @@ type Engine struct {
 	// another engine owns and maintains them, this engine only reads them,
 	// and statements targeting them are compiled but not executed.
 	adopted map[string]bool
-	// declined lists Transfer candidates whose physical layout did not match
-	// this build's selection; non-empty after convergence is a construction
-	// error (accepting it would silently drop the transferred state).
-	declined []string
 }
 
 type compiledTrigger struct {
 	trig *ir.Trigger
 	// stmts are the statements this engine executes: the trigger's list
 	// minus statements targeting adopted (shared) maps, which their owner
-	// already runs. Every statement is still compiled — typed-mode demote
-	// decisions must not depend on who owns a map — and then dropped here.
+	// already runs. Every statement is still compiled, so a statement the
+	// engine cannot compile fails the build whoever owns its target.
 	stmts []*ir.Stmt
 	fns   []stmtFn // parallel to stmts
 	env   *cenv    // reusable environment
 	slots map[string]int
 	// checks validate (and, when slot >= 0, unbox) trigger parameters at
-	// event entry. Typed mode uses them to license unboxed kernels; both
-	// modes use validate-only entries (slot == -1) to reject mismatched
-	// kinds at admission instead of corrupting map keys downstream.
+	// event entry: the kind check licenses the unboxed kernels, and
+	// validate-only entries (slot == -1) reject mismatched kinds at
+	// admission instead of corrupting map keys downstream.
 	checks []paramCheck
 	// stats, when non-nil, is this trigger's series in the metrics sink.
 	stats *metrics.TriggerStats
 }
 
 // cenv is the reusable per-trigger execution environment: boxed slots for
-// generic closures plus unboxed int/float slot arrays for typed kernels.
+// values no annotation proves numeric, plus unboxed int/float slot arrays
+// for the typed kernels.
 type cenv struct {
 	slots  []types.Value
 	ints   []int64
@@ -133,85 +123,25 @@ type stmtFn func(env *cenv)
 
 // NewEngine builds maps, slice indexes, and the per-trigger closures.
 //
-// When the program carries type annotations (ir.InferTypes) and no option
-// forces the generic path, maps with all-int keys of arity 1 to 4 use
-// packed storage and statements compile to unboxed typed kernels. Storage
-// selection is optimistic: compilation demotes any packed map with an
-// access site it cannot prove int-safe and the engine is rebuilt with that
-// map generic; each rebuild bans at least one map, so the loop terminates.
+// Layouts are decided once, before any closure is compiled: a map with
+// 1 to 4 key positions, each statically guaranteed int, that every access
+// probes with provably int keys uses packed storage (see mapLayout), and
+// statements compile to unboxed kernels wherever the type annotations
+// (ir.InferTypes) allow.
 func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
-	banned := map[string]bool{}
-	for {
-		e, err := newEngine(prog, opts, banned)
-		if err != nil {
-			return nil, err
-		}
-		if len(e.demote) == 0 {
-			if len(e.declined) > 0 {
-				return nil, fmt.Errorf("runtime: sourced maps %v do not match the converged layout", e.declined)
-			}
-			return e, nil
-		}
-		progress := false
-		for name := range e.demote {
-			if !banned[name] {
-				banned[name] = true
-				progress = true
-			}
-		}
-		if !progress {
-			return nil, fmt.Errorf("runtime: typed compilation failed to converge (demoted: %v)", e.demote)
-		}
-	}
-}
-
-// mapLayout selects a map's physical layout: packed storage requires every
-// key position to be statically guaranteed int (see
-// guaranteedIntPositions) and arity 1 to 4.
-func mapLayout(d *ir.MapDecl, banned map[string]bool, intPos map[string][]bool) storeKind {
-	if banned[d.Name] || len(d.Keys) == 0 || len(d.Keys) > 4 {
-		return storeGeneric
-	}
-	g := intPos[d.Name]
-	if len(g) != len(d.Keys) {
-		return storeGeneric
-	}
-	for _, ok := range g {
-		if !ok {
-			return storeGeneric
-		}
-	}
-	switch len(d.Keys) {
-	case 1:
-		return storeI1
-	case 2:
-		return storeI2
-	case 3:
-		return storeI3
-	default:
-		return storeI4
-	}
-}
-
-func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine, error) {
 	e := &Engine{
 		prog:    prog,
 		opts:    opts,
 		maps:    make(map[string]*Map, len(prog.Maps)),
-		demote:  map[string]bool{},
+		intPos:  guaranteedIntPositions(prog),
 		sink:    opts.sink(),
 		adopted: map[string]bool{},
 	}
-	typed := !opts.NoTypedStorage
-	if typed {
-		e.intPos = guaranteedIntPositions(prog)
-	}
+	uncertain := nonIntProbes(prog, e.intPos)
+	var declined []string
 	for _, name := range prog.MapOrder {
 		decl := prog.Maps[name]
-		kind := storeGeneric
-		if typed {
-			kind = mapLayout(decl, banned, e.intPos)
-		}
+		kind := mapLayout(decl, e.intPos[name], uncertain[name])
 		var m *Map
 		if opts.MapSource != nil {
 			src := opts.MapSource(name)
@@ -222,7 +152,7 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 				if t.kind == kind {
 					m = t
 				} else {
-					e.declined = append(e.declined, name)
+					declined = append(declined, name)
 				}
 			}
 		}
@@ -239,6 +169,9 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 			m.gauges.EntryBytes.Set(int64(m.entryBytes()))
 		}
 		e.maps[name] = m
+	}
+	if len(declined) > 0 {
+		return nil, fmt.Errorf("runtime: sourced maps %v do not match the selected layout", declined)
 	}
 	// Register slice indexes before any data arrives. A loop walks its
 	// map's slots and chains in place, so a statement must not write the
@@ -259,13 +192,7 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 		}
 	}
 	for _, t := range prog.Triggers {
-		var ct *compiledTrigger
-		var err error
-		if typed {
-			ct, err = e.compileTriggerTyped(t)
-		} else {
-			ct, err = e.compileTrigger(t)
-		}
+		ct, err := e.compileTrigger(t)
 		if err != nil {
 			return nil, err
 		}
@@ -276,6 +203,32 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 	}
 	e.BindRelations(nil)
 	return e, nil
+}
+
+// mapLayout selects a map's physical layout. Packed storage requires arity
+// 1 to 4, every key position statically guaranteed int (intPos, see
+// guaranteedIntPositions) and no access that probes the map with a key
+// not proven int (uncertain, see nonIntProbes): a packed probe holds only
+// int words.
+func mapLayout(d *ir.MapDecl, intPos []bool, uncertain bool) storeKind {
+	if uncertain || len(d.Keys) == 0 || len(d.Keys) > 4 || len(intPos) != len(d.Keys) {
+		return storeGeneric
+	}
+	for _, ok := range intPos {
+		if !ok {
+			return storeGeneric
+		}
+	}
+	switch len(d.Keys) {
+	case 1:
+		return storeI1
+	case 2:
+		return storeI2
+	case 3:
+		return storeI3
+	default:
+		return storeI4
+	}
 }
 
 // BindRelations lays the dispatch table out over rels, a catalog's relation
@@ -487,12 +440,12 @@ func (e *Engine) fire(ct *compiledTrigger, args types.Tuple) (err error) {
 	if len(args) != len(ct.trig.Params) {
 		return fmt.Errorf("runtime: event %s expects %d args, got %d", ct.trig.Name(), len(ct.trig.Params), len(args))
 	}
-	// Admission kind validation (and, in typed mode, parameter unboxing).
-	// Typed kernels read parameters from unboxed slots; the kind check is
-	// what makes every downstream int/float assumption sound. Validate-only
-	// entries (slot < 0) guard generic storage the same way: a mismatched
-	// kind fails the one event with an error instead of poisoning map keys
-	// or panicking in packed storage.
+	// Admission kind validation and parameter unboxing. Typed kernels read
+	// parameters from unboxed slots; the kind check is what makes every
+	// downstream int/float assumption sound. Validate-only entries (slot < 0)
+	// guard generic storage the same way: a mismatched kind fails the one
+	// event with an error instead of poisoning map keys or panicking in
+	// packed storage.
 	for _, pc := range ct.checks {
 		v := args[pc.arg]
 		if v.Kind() != pc.kind {
@@ -529,322 +482,4 @@ func boundPositions(lp ir.Loop) []int {
 		}
 	}
 	return pos
-}
-
-// --- Closure compilation ---
-
-func (e *Engine) compileTrigger(t *ir.Trigger) (*compiledTrigger, error) {
-	ct := &compiledTrigger{trig: t}
-	// Slot 0..n-1: parameters. Loop variables get per-statement slots
-	// above the parameter block; statements never share loop variables.
-	slots := map[string]int{}
-	for i, p := range t.Params {
-		slots[p] = i
-	}
-	// Validate-only admission checks: generic storage tolerates any kind,
-	// but admitting a mismatched kind would corrupt the view (keys that can
-	// never be queried back) — reject it at the boundary like typed mode.
-	for i, k := range t.ParamKinds {
-		if k != types.KindNull {
-			ct.checks = append(ct.checks, paramCheck{arg: i, kind: k, slot: -1})
-		}
-	}
-	maxSlots := len(t.Params)
-	for _, s := range t.Stmts {
-		n := len(t.Params)
-		local := make(map[string]int, len(slots))
-		for k, v := range slots {
-			local[k] = v
-		}
-		for _, lp := range s.Loops {
-			for _, v := range lp.FreeVars {
-				if v != "" {
-					local[v] = n
-					n++
-				}
-			}
-			if lp.ValueVar != "" {
-				local[lp.ValueVar] = n
-				n++
-			}
-		}
-		fn, err := e.compileStmt(s, local)
-		if err != nil {
-			return nil, err
-		}
-		// compileStmt may append let-binding slots.
-		if n = len(local); n > maxSlots {
-			maxSlots = n
-		}
-		if e.adopted[s.Target] {
-			continue
-		}
-		ct.fns = append(ct.fns, fn)
-		ct.stmts = append(ct.stmts, s)
-	}
-	ct.env = &cenv{slots: make([]types.Value, maxSlots)}
-	ct.slots = slots
-	return ct, nil
-}
-
-func (e *Engine) compileStmt(s *ir.Stmt, slots map[string]int) (stmtFn, error) {
-	target := e.maps[s.Target]
-	if target == nil {
-		return nil, fmt.Errorf("runtime: statement targets unknown map %s", s.Target)
-	}
-	// Lets bind after loop variables; they get fresh slots.
-	type letSlot struct {
-		slot int
-		fn   valFn
-	}
-	var lets []letSlot
-	for _, lt := range s.Lets {
-		fn, err := e.compileExpr(lt.Expr, slots)
-		if err != nil {
-			return nil, err
-		}
-		idx := len(slots)
-		slots[lt.Var] = idx
-		lets = append(lets, letSlot{slot: idx, fn: fn})
-	}
-	fillKey, err := e.compileKeys(s.Keys, slots)
-	if err != nil {
-		return nil, err
-	}
-	var condFn valFn
-	if s.Cond != nil {
-		fn, err := e.compileExpr(s.Cond, slots)
-		if err != nil {
-			return nil, err
-		}
-		condFn = fn
-	}
-	deltaFn, err := e.compileExpr(s.Delta, slots)
-	if err != nil {
-		return nil, err
-	}
-	// The probe is reused across calls: the map copies what it keeps, and
-	// engines are single-goroutine. Boxed closures only ever run over
-	// generic-layout maps, so the probe's boxed form is the one consulted.
-	k := &key{vals: make(types.Tuple, len(s.Keys))}
-	body := func(env *cenv) {
-		for _, lt := range lets {
-			env.slots[lt.slot] = lt.fn(env)
-		}
-		if condFn != nil && !condFn(env).Bool() {
-			return
-		}
-		d := deltaFn(env)
-		f := d.Float()
-		if f == 0 {
-			return
-		}
-		fillKey(env, k.vals)
-		target.add(k, f)
-	}
-	// Wrap loops innermost-out.
-	for i := len(s.Loops) - 1; i >= 0; i-- {
-		wrapped, err := e.compileLoop(s.Loops[i], slots, body)
-		if err != nil {
-			return nil, err
-		}
-		body = wrapped
-	}
-	return body, nil
-}
-
-// keyFiller materializes a key tuple into dst from the environment.
-type keyFiller func(env *cenv, dst types.Tuple)
-
-// compileKeys builds the key extractor for a statement or lookup: when
-// every key expression is a variable or constant (the overwhelmingly
-// common shape after compilation), it precomputes a slot→position plan and
-// fills the tuple with direct slot copies — no per-position closure calls.
-// Other expressions fall back to compiled valFns.
-func (e *Engine) compileKeys(keys []ir.Expr, slots map[string]int) (keyFiller, error) {
-	plan := make([]int, len(keys)) // slot index, or -1 for a constant
-	consts := make(types.Tuple, len(keys))
-	fast := true
-	for i, k := range keys {
-		switch k := k.(type) {
-		case *ir.VarRef:
-			idx, ok := slots[k.Name]
-			if !ok {
-				return nil, fmt.Errorf("runtime: key variable %s has no slot", k.Name)
-			}
-			plan[i] = idx
-		case *ir.Const:
-			plan[i] = -1
-			consts[i] = k.Value
-		default:
-			fast = false
-		}
-	}
-	if fast {
-		return func(env *cenv, dst types.Tuple) {
-			for i, s := range plan {
-				if s >= 0 {
-					dst[i] = env.slots[s]
-				} else {
-					dst[i] = consts[i]
-				}
-			}
-		}, nil
-	}
-	fns := make([]valFn, len(keys))
-	for i, k := range keys {
-		fn, err := e.compileExpr(k, slots)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	return func(env *cenv, dst types.Tuple) {
-		for i, fn := range fns {
-			dst[i] = fn(env)
-		}
-	}, nil
-}
-
-func (e *Engine) compileLoop(lp ir.Loop, slots map[string]int, body stmtFn) (stmtFn, error) {
-	m := e.maps[lp.Map]
-	if m == nil {
-		return nil, fmt.Errorf("runtime: loop over unknown map %s", lp.Map)
-	}
-	pos := boundPositions(lp)
-	boundFns := make([]valFn, len(pos))
-	for i, p := range pos {
-		fn, err := e.compileExpr(lp.Bound[p], slots)
-		if err != nil {
-			return nil, err
-		}
-		boundFns[i] = fn
-	}
-	type freeSlot struct{ pos, slot int }
-	var frees []freeSlot
-	for p, v := range lp.FreeVars {
-		if v == "" {
-			continue
-		}
-		idx, ok := slots[v]
-		if !ok {
-			return nil, fmt.Errorf("runtime: loop variable %s has no slot", v)
-		}
-		frees = append(frees, freeSlot{pos: p, slot: idx})
-	}
-	valSlot := -1
-	if lp.ValueVar != "" {
-		valSlot = slots[lp.ValueVar]
-	}
-	// Buffers and the visit closure are allocated once per compiled loop
-	// and reused across events: engines are single-goroutine, and loops
-	// never nest through the same compiled statement twice.
-	bound := make(types.Tuple, len(boundFns))
-	var curEnv *cenv
-	visit := func(t types.Tuple, v float64) {
-		for _, fs := range frees {
-			curEnv.slots[fs.slot] = t[fs.pos]
-		}
-		if valSlot >= 0 {
-			curEnv.slots[valSlot] = types.NewFloat(v)
-		}
-		body(curEnv)
-	}
-	useSlice := !e.opts.NoSliceIndex && len(pos) > 0 && len(pos) < len(lp.Bound)
-	if useSlice {
-		slice := m.EnsureSlice(pos)
-		return func(env *cenv) {
-			curEnv = env
-			for i, fn := range boundFns {
-				bound[i] = fn(env)
-			}
-			slice.Iterate(bound, visit)
-		}, nil
-	}
-	// Full scan with filtering (no bound positions, or index disabled).
-	// The filtering visitor is hoisted with the other per-loop buffers so
-	// the scan path stays allocation-free per event.
-	scanVisit := func(t types.Tuple, val float64) {
-		for i, p := range pos {
-			if !t[p].Equal(bound[i]) {
-				return
-			}
-		}
-		visit(t, val)
-	}
-	return func(env *cenv) {
-		curEnv = env
-		for i, fn := range boundFns {
-			bound[i] = fn(env)
-		}
-		m.Scan(scanVisit)
-	}, nil
-}
-
-type valFn func(env *cenv) types.Value
-
-func (e *Engine) compileExpr(x ir.Expr, slots map[string]int) (valFn, error) {
-	switch x := x.(type) {
-	case *ir.Const:
-		v := x.Value
-		return func(*cenv) types.Value { return v }, nil
-	case *ir.VarRef:
-		idx, ok := slots[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("runtime: variable %s has no slot", x.Name)
-		}
-		return func(env *cenv) types.Value { return env.slots[idx] }, nil
-	case *ir.Lookup:
-		m := e.maps[x.Map]
-		if m == nil {
-			return nil, fmt.Errorf("runtime: lookup of unknown map %s", x.Map)
-		}
-		fill, err := e.compileKeys(x.Keys, slots)
-		if err != nil {
-			return nil, err
-		}
-		k := &key{vals: make(types.Tuple, len(x.Keys))}
-		return func(env *cenv) types.Value {
-			fill(env, k.vals)
-			return types.NewFloat(m.get(k))
-		}, nil
-	case *ir.Arith:
-		l, err := e.compileExpr(x.L, slots)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.compileExpr(x.R, slots)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case '+':
-			return func(env *cenv) types.Value { return types.Add(l(env), r(env)) }, nil
-		case '-':
-			return func(env *cenv) types.Value { return types.Sub(l(env), r(env)) }, nil
-		case '*':
-			return func(env *cenv) types.Value { return types.Mul(l(env), r(env)) }, nil
-		case '/':
-			return func(env *cenv) types.Value { return types.Div(l(env), r(env)) }, nil
-		}
-		return nil, fmt.Errorf("runtime: bad arithmetic op %q", x.Op)
-	case *ir.CmpE:
-		l, err := e.compileExpr(x.L, slots)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.compileExpr(x.R, slots)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		one, zero := types.NewInt(1), types.NewInt(0)
-		return func(env *cenv) types.Value {
-			if op.Eval(l(env), r(env)) {
-				return one
-			}
-			return zero
-		}, nil
-	}
-	return nil, fmt.Errorf("runtime: unknown expression %T", x)
 }

@@ -88,7 +88,7 @@ var paperEvents = []evt{
 }
 
 func TestPaperQueryMaintenance(t *testing.T) {
-	for _, opts := range []Options{{}, {NoTypedStorage: true}, {NoSliceIndex: true}, {NoTypedStorage: true, NoSliceIndex: true}} {
+	for _, opts := range []Options{{}, {NoSliceIndex: true}} {
 		cat := rstCatalog()
 		c := compileSQL(t, cat, "select sum(A*D) from R, S, T where R.B=S.B and S.C=T.C")
 		eng, err := NewEngine(c.Program, opts)
@@ -336,7 +336,7 @@ func TestMapZeroEntriesRemoved(t *testing.T) {
 
 // TestLetsAndCondExecution exercises the IR's Let and Cond statement
 // features (which the current compiler inlines away, but the IR supports)
-// through a hand-built program, over typed and generic storage.
+// through a hand-built program.
 func TestLetsAndCondExecution(t *testing.T) {
 	decl := &ir.MapDecl{Name: "out", Keys: []string{"k0"},
 		Definition: &algebra.AggSum{GroupVars: []string{"k0"}, Body: algebra.One()}}
@@ -356,24 +356,22 @@ func TestLetsAndCondExecution(t *testing.T) {
 			}},
 		}},
 	}
-	for _, opts := range []Options{{}, {NoTypedStorage: true}} {
-		eng, err := NewEngine(prog, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// a=1 → dbl=2, cond 2>4 false → no update.
-		if err := eng.OnEvent("R", true, types.Tuple{types.NewInt(1), types.NewInt(7)}); err != nil {
-			t.Fatal(err)
-		}
-		if eng.Map("out").Len() != 0 {
-			t.Fatalf("opts %+v: cond did not gate", opts)
-		}
-		// a=5 → dbl=10, cond true → out[7] += 10.
-		if err := eng.OnEvent("R", true, types.Tuple{types.NewInt(5), types.NewInt(7)}); err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.Map("out").Get(types.Tuple{types.NewInt(7)}); got != 10 {
-			t.Fatalf("opts %+v: out[7] = %v", opts, got)
-		}
+	eng, err := NewEngine(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a=1 → dbl=2, cond 2>4 false → no update.
+	if err := eng.OnEvent("R", true, types.Tuple{types.NewInt(1), types.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Map("out").Len() != 0 {
+		t.Fatal("cond did not gate")
+	}
+	// a=5 → dbl=10, cond true → out[7] += 10.
+	if err := eng.OnEvent("R", true, types.Tuple{types.NewInt(5), types.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Map("out").Get(types.Tuple{types.NewInt(7)}); got != 10 {
+		t.Fatalf("out[7] = %v", got)
 	}
 }

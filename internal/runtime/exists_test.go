@@ -56,7 +56,7 @@ var existsEvents = []evt{
 }
 
 func TestExistsMaintenanceHandBuilt(t *testing.T) {
-	for _, opts := range []Options{{}, {NoTypedStorage: true}} {
+	for _, opts := range []Options{{}, {NoSliceIndex: true}} {
 		q := existsQuery()
 		c, err := compiler.Compile(q)
 		if err != nil {

@@ -442,7 +442,7 @@ func TestLoopOverOwnTargetRefused(t *testing.T) {
 				Delta: &ir.Const{Value: types.NewInt(1)},
 			}}}},
 	}
-	for _, opts := range []Options{{}, {NoTypedStorage: true}} {
+	for _, opts := range []Options{{}, {NoSliceIndex: true}} {
 		if _, err := NewEngine(prog, opts); err == nil {
 			t.Errorf("%+v: engine accepted a statement looping over its own target", opts)
 		}

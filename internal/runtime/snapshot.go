@@ -25,12 +25,9 @@ import (
 // All integers little-endian; keys use the types.EncodeKey wire form.
 // Entries are written in ascending encoded-key order, so two snapshots of
 // identical state are byte-identical regardless of Go map iteration order
-// — the property the crash-recovery fault harness asserts on. The V1
-// format ("DBT1", identical but without the watermark and without the
-// ordering guarantee) is still read for back compatibility.
+// — the property the crash-recovery fault harness asserts on.
 const (
-	snapshotMagicV1 = "DBT1"
-	snapshotMagicV2 = "DBT2"
+	snapshotMagic = "DBT2"
 
 	// maxSnapshotStr bounds name/key lengths read from a snapshot so a
 	// corrupted length field cannot demand a multi-gigabyte allocation.
@@ -97,7 +94,7 @@ type mapStage struct {
 // bitwise-comparable with (and restorable as) an engine snapshot.
 func WriteSnapshot(w io.Writer, watermark uint64, mapOrder []string, scan func(name string, visit func(types.Tuple, float64))) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagicV2); err != nil {
+	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, watermark); err != nil {
@@ -140,7 +137,7 @@ func WriteSnapshot(w io.Writer, watermark uint64, mapOrder []string, scan func(n
 	return bw.Flush()
 }
 
-// readSnapshot fully decodes a V1 or V2 snapshot into staged form without
+// readSnapshot fully decodes a snapshot into staged form without
 // touching any engine. Every length is bounds-checked and keys decode
 // through types.DecodeKeyChecked, so malformed input yields an error,
 // never a panic.
@@ -150,15 +147,12 @@ func readSnapshot(r io.Reader) ([]mapStage, uint64, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, 0, fmt.Errorf("runtime: snapshot header: %w", err)
 	}
-	var watermark uint64
-	switch string(magic) {
-	case snapshotMagicV1:
-	case snapshotMagicV2:
-		if err := binary.Read(br, binary.LittleEndian, &watermark); err != nil {
-			return nil, 0, fmt.Errorf("runtime: snapshot watermark: %w", err)
-		}
-	default:
+	if string(magic) != snapshotMagic {
 		return nil, 0, fmt.Errorf("runtime: bad snapshot magic %q", magic)
+	}
+	var watermark uint64
+	if err := binary.Read(br, binary.LittleEndian, &watermark); err != nil {
+		return nil, 0, fmt.Errorf("runtime: snapshot watermark: %w", err)
 	}
 	var nMaps uint32
 	if err := binary.Read(br, binary.LittleEndian, &nMaps); err != nil {

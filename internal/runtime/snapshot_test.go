@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
+	"dbtoaster/internal/schema"
 	"dbtoaster/internal/types"
 )
 
@@ -77,8 +79,8 @@ func TestSnapshotV2PackedRoundTrip(t *testing.T) {
 		if err := eng.SnapshotAt(&buf, 77); err != nil {
 			t.Fatal(err)
 		}
-		if got := string(buf.Bytes()[:4]); got != snapshotMagicV2 {
-			t.Fatalf("snapshot magic %q, want %q", got, snapshotMagicV2)
+		if got := string(buf.Bytes()[:4]); got != snapshotMagic {
+			t.Fatalf("snapshot magic %q, want %q", got, snapshotMagic)
 		}
 
 		eng2, err := NewEngine(c.Program, Options{})
@@ -107,9 +109,10 @@ func TestSnapshotV2PackedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1BackCompat: a V1 blob (same body, no watermark) still
-// restores, reporting watermark 0.
-func TestSnapshotV1BackCompat(t *testing.T) {
+// TestSnapshotV1Rejected: the "DBT1" format (the DBT2 body without the
+// watermark) was never deployed and is no longer read. A DBT1 blob is
+// refused as a bad magic and leaves the engine untouched.
+func TestSnapshotV1Rejected(t *testing.T) {
 	cat := rstCatalog()
 	c := compileSQL(t, cat, "select B, sum(A) from R group by B")
 	eng, err := NewEngine(c.Program, Options{})
@@ -122,29 +125,28 @@ func TestSnapshotV1BackCompat(t *testing.T) {
 	if err := eng.SnapshotAt(&v2, 123); err != nil {
 		t.Fatal(err)
 	}
-	// V1 = "DBT1" magic, then the V2 body minus the 8-byte watermark.
-	v1 := append([]byte(snapshotMagicV1), v2.Bytes()[4+8:]...)
+	// DBT1 = "DBT1" magic, then the DBT2 body minus the 8-byte watermark.
+	v1 := append([]byte("DBT1"), v2.Bytes()[4+8:]...)
 
 	eng2, err := NewEngine(c.Program, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, err := eng2.RestoreMeta(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("V1 restore: %v", err)
+	feed(t, eng2, nil, []evt{{"R", true, []int64{1, 3}}})
+	before := engineState(eng2)
+	_, err = eng2.RestoreMeta(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("DBT1 restore: err = %v, want a bad snapshot magic error", err)
 	}
-	if wm != 0 {
-		t.Fatalf("V1 watermark = %d, want 0", wm)
-	}
-	if !equalState(engineState(eng), engineState(eng2)) {
-		t.Fatal("V1 restored state differs")
+	if !equalState(before, engineState(eng2)) {
+		t.Fatal("refused DBT1 restore mutated engine state")
 	}
 }
 
-// buildSnapshot hand-assembles a V2 blob for one map.
+// buildSnapshot hand-assembles a DBT2 blob for one map.
 func buildSnapshot(mapName string, keys [][]byte, vals []float64) []byte {
 	var b []byte
-	b = append(b, snapshotMagicV2...)
+	b = append(b, snapshotMagic...)
 	b = binary.LittleEndian.AppendUint64(b, 0)
 	b = binary.LittleEndian.AppendUint32(b, 1)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(mapName)))
@@ -163,23 +165,23 @@ func buildSnapshot(mapName string, keys [][]byte, vals []float64) []byte {
 // through the value constructors, which canonicalize (NaN becomes NULL,
 // -0.0 becomes +0.0) instead of smuggling non-canonical keys into a map.
 func TestRestoreCanonicalizesFloatKeys(t *testing.T) {
-	cat := rstCatalog()
-	c := compileSQL(t, cat, "select B, sum(A) from R group by B")
-	// Find a single-column map and force the generic layout so float keys
-	// pass arity/kind validation.
-	eng, err := NewEngine(c.Program, Options{NoTypedStorage: true})
+	// A float-keyed GROUP BY: its one-column result map takes the generic
+	// layout, so float keys pass arity/kind validation.
+	cat := schema.NewCatalog(schema.NewRelation("F", "X:float", "Y:int"))
+	c := compileSQL(t, cat, "select X, sum(Y) from F group by X")
+	eng, err := NewEngine(c.Program, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var name string
 	for _, n := range c.Program.MapOrder {
-		if eng.maps[n].decl.Arity() == 1 {
+		if m := eng.maps[n]; m.decl.Arity() == 1 && m.kind == storeGeneric {
 			name = n
 			break
 		}
 	}
 	if name == "" {
-		t.Skip("no single-column map")
+		t.Fatalf("no single-column generic map in\n%s", c.Program)
 	}
 
 	floatKey := func(bits uint64) []byte {
@@ -281,8 +283,8 @@ func FuzzRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add([]byte(snapshotMagicV2))
-	f.Add([]byte(snapshotMagicV1))
+	f.Add([]byte(snapshotMagic))
+	f.Add([]byte("DBT1"))
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
 	f.Add([]byte{})
 

@@ -73,7 +73,7 @@ func TestSQLConstructInvariants(t *testing.T) {
 		t.Run(src, func(t *testing.T) {
 			cat := rstCatalog()
 			c := compileSQL(t, cat, src)
-			for _, opts := range []Options{{}, {NoTypedStorage: true}} {
+			for _, opts := range []Options{{}, {NoSliceIndex: true}} {
 				eng, err := NewEngine(c.Program, opts)
 				if err != nil {
 					t.Fatalf("opts %+v: %v", opts, err)

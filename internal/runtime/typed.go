@@ -1,16 +1,17 @@
 package runtime
 
-// Typed (unboxed) closure compilation: the physical counterpart of the IR
-// typing pass (ir.InferTypes). Statements compile into kernels whose
-// steady-state arithmetic, comparisons, and map probes run on native
-// int64/float64 — types.Value boxing and Kind dispatch survive only where
-// the annotations cannot prove a type (strings, unknown kinds, nullable
-// integer division), where the compiler transparently falls back to the
-// boxed forms with identical semantics.
+// Trigger compilation: the physical counterpart of the IR typing pass
+// (ir.InferTypes). Statements compile into kernels whose steady-state
+// arithmetic, comparisons, and map probes run on native int64/float64 —
+// types.Value boxing and Kind dispatch survive only where the annotations
+// cannot prove a type (strings, unknown kinds, nullable integer division),
+// where the compiler falls back to the boxed forms.
 //
-// Parity with the generic engine is exact, by construction:
+// Every kernel computes exactly what the types package's Value semantics
+// define:
 //
-//   - int kernels use Go's wrapping int64 arithmetic, as types.arith does;
+//   - int kernels use Go's wrapping int64 arithmetic, as types.Add/Sub/Mul
+//     do on two ints;
 //   - float kernels represent SQL NULL as NaN: types.NewFloat normalizes
 //     NaN to Null and Null propagates through arithmetic, so NaN's IEEE
 //     behavior (propagation through + - * /, all comparisons false)
@@ -26,11 +27,10 @@ package runtime
 //
 // A map may use packed storage only if every access site in the program
 // (statement target keys, lookup keys, loop bounds) compiles to a
-// never-null int kernel. The engine builds optimistically — every map with
-// all-int keys of arity 1 to 4 starts packed — and any statement that
-// cannot prove an access demotes the map and triggers a rebuild with that
-// map banned; the loop terminates because each restart bans at least one
-// map.
+// never-null int kernel. The engine decides that before it compiles
+// anything, from the same proof rules the compiler classifies expressions
+// by (guaranteedIntPositions, nonIntProbes, provablyInt), so a packed map
+// probed with a key that is not an int kernel is an internal error.
 
 import (
 	"fmt"
@@ -57,10 +57,11 @@ type (
 	intFn   func(*cenv) int64
 	floatFn func(*cenv) float64
 	boolFn  func(*cenv) bool
+	valFn   func(*cenv) types.Value
 )
 
-// texpr is a compiled typed-mode expression: exactly one of ifn/ffn/vfn is
-// set, per cls.
+// texpr is a compiled expression: exactly one of ifn/ffn/vfn is set, per
+// cls.
 type texpr struct {
 	cls cls
 	ifn intFn
@@ -70,7 +71,7 @@ type texpr struct {
 
 // box converts to the boxed representation. Reboxing is exact: ints box to
 // KindInt, floats through NewFloat (NaN back to Null), so a reboxed value
-// is indistinguishable from what the generic engine computes.
+// is the Value that types arithmetic would have produced.
 func (t texpr) box() valFn {
 	switch t.cls {
 	case clsInt:
@@ -85,8 +86,7 @@ func (t texpr) box() valFn {
 }
 
 // asFloat converts a numeric typed expression to its float kernel. Int
-// conversion matches the generic engine, which funnels the same value
-// through Value.Float() at the same point.
+// conversion is Value.Float() of the boxed int: float64(i).
 func (t texpr) asFloat() floatFn {
 	switch t.cls {
 	case clsInt:
@@ -96,8 +96,8 @@ func (t texpr) asFloat() floatFn {
 		return t.ffn
 	default:
 		// Boxed numeric: Value.Float() maps Null to 0, which is only
-		// correct where the generic engine applies the same conversion
-		// (statement deltas); arithmetic operands never take this path.
+		// correct where Null means "no update" (statement deltas);
+		// arithmetic operands never take this path.
 		f := t.vfn
 		return func(env *cenv) float64 { return f(env).Float() }
 	}
@@ -159,35 +159,98 @@ func guaranteedIntPositions(prog *ir.Program) map[string][]bool {
 		changed = false
 		for _, t := range prog.Triggers {
 			for _, s := range t.Stmts {
-				intVars := map[string]bool{}
-				for i, p := range t.Params {
-					intVars[p] = i < len(t.ParamKinds) && t.ParamKinds[i] == types.KindInt
-				}
-				for _, lp := range s.Loops {
-					mg := g[lp.Map]
-					for pos, v := range lp.FreeVars {
-						if v != "" {
-							intVars[v] = pos < len(mg) && mg[pos]
+				walkProbes(t, s, g, func(m string, keys []ir.Expr, intVars map[string]bool, write bool) {
+					if !write {
+						return
+					}
+					tg := g[m]
+					for i, k := range keys {
+						if i < len(tg) && tg[i] && !provablyInt(k, intVars) {
+							tg[i] = false
+							changed = true
 						}
 					}
-					if lp.ValueVar != "" {
-						intVars[lp.ValueVar] = false // map values read back as float
-					}
-				}
-				for _, lt := range s.Lets {
-					intVars[lt.Var] = provablyInt(lt.Expr, intVars)
-				}
-				tg := g[s.Target]
-				for i, k := range s.Keys {
-					if i < len(tg) && tg[i] && !provablyInt(k, intVars) {
-						tg[i] = false
-						changed = true
-					}
-				}
+				})
 			}
 		}
 	}
 	return g
+}
+
+// nonIntProbes lists the maps that some access — a lookup, a loop bound or
+// a statement target — probes with a key expression not provably int,
+// given the guarantees g. A packed probe holds only int words, so such a
+// map takes the generic layout (see mapLayout).
+func nonIntProbes(prog *ir.Program, g map[string][]bool) map[string]bool {
+	out := map[string]bool{}
+	for _, t := range prog.Triggers {
+		for _, s := range t.Stmts {
+			walkProbes(t, s, g, func(m string, keys []ir.Expr, intVars map[string]bool, _ bool) {
+				for _, k := range keys {
+					if k != nil && !provablyInt(k, intVars) {
+						out[m] = true
+					}
+				}
+			})
+		}
+	}
+	return out
+}
+
+// walkProbes visits every map access of statement s of trigger t with the
+// variables proven int at that point, in the order the compiler binds them
+// (see tcompiler.compileStmt): each loop's bounds before the loop binds its
+// own variables, then the lookups in the lets (each let bound after its
+// expression), the condition, the delta and the target keys, and last the
+// target itself, the one visit with write set. A loop's keys are its
+// bounds, nil at free positions; loop variables over position p of map m
+// are int exactly when g[m][p] is.
+func walkProbes(t *ir.Trigger, s *ir.Stmt, g map[string][]bool, visit func(m string, keys []ir.Expr, intVars map[string]bool, write bool)) {
+	intVars := map[string]bool{}
+	for i, p := range t.Params {
+		intVars[p] = i < len(t.ParamKinds) && t.ParamKinds[i] == types.KindInt
+	}
+	var lookups func(x ir.Expr)
+	lookups = func(x ir.Expr) {
+		switch x := x.(type) {
+		case *ir.Lookup:
+			for _, k := range x.Keys {
+				lookups(k)
+			}
+			visit(x.Map, x.Keys, intVars, false)
+		case *ir.Arith:
+			lookups(x.L)
+			lookups(x.R)
+		case *ir.CmpE:
+			lookups(x.L)
+			lookups(x.R)
+		}
+	}
+	for _, lp := range s.Loops {
+		for _, b := range lp.Bound {
+			lookups(b)
+		}
+		visit(lp.Map, lp.Bound, intVars, false)
+		mg := g[lp.Map]
+		for pos, v := range lp.FreeVars {
+			if v != "" {
+				intVars[v] = pos < len(mg) && mg[pos]
+			}
+		}
+		if lp.ValueVar != "" {
+			intVars[lp.ValueVar] = false // map values read back as float
+		}
+	}
+	for _, lt := range s.Lets {
+		lookups(lt.Expr)
+		intVars[lt.Var] = provablyInt(lt.Expr, intVars)
+	}
+	lookups(s.Cond)
+	lookups(s.Delta)
+	for _, k := range s.Keys {
+		lookups(k)
+	}
+	visit(s.Target, s.Keys, intVars, true)
 }
 
 // provablyInt reports whether the expression always evaluates to a
@@ -207,11 +270,11 @@ func provablyInt(e ir.Expr, intVars map[string]bool) bool {
 	return false
 }
 
-// compileTriggerTyped is the typed-mode counterpart of compileTrigger:
-// boxed slots are laid out identically (params first, per-statement loop
-// variables above), and parameters with known numeric kinds additionally
-// get unboxed int/float slots filled — after a kind check — at event entry.
-func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
+// compileTrigger compiles one trigger's statements. Boxed slots hold the
+// params first and per-statement loop variables above them; parameters
+// with known numeric kinds additionally get unboxed int/float slots filled
+// — after a kind check — at event entry.
+func (e *Engine) compileTrigger(t *ir.Trigger) (*compiledTrigger, error) {
 	ct := &compiledTrigger{trig: t}
 	slots := map[string]int{}
 	for i, p := range t.Params {
@@ -235,7 +298,8 @@ func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
 			nFloat++
 		default:
 			// Non-numeric declared kinds stay boxed but are still validated
-			// at admission (slot -1), matching the generic engine.
+			// at admission (slot -1): a mismatched kind would corrupt the
+			// view with keys that can never be queried back.
 			if k != types.KindNull {
 				ct.checks = append(ct.checks, paramCheck{arg: i, kind: k, slot: -1})
 			}
@@ -267,7 +331,7 @@ func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
 		for k, v := range ptslots {
 			ltslots[k] = v
 		}
-		tc := &tcompiler{e: e, slots: local, tslots: ltslots, nInt: nInt, nFloat: nFloat, demote: e.demote}
+		tc := &tcompiler{e: e, slots: local, tslots: ltslots, nInt: nInt, nFloat: nFloat}
 		fn, err := tc.compileStmt(s)
 		if err != nil {
 			return nil, err
@@ -281,8 +345,8 @@ func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
 		if n := len(local); n > maxSlots {
 			maxSlots = n
 		}
-		// Statements writing adopted (shared) maps are compiled — so demote
-		// decisions stay independent of ownership — but never executed.
+		// Statements writing adopted (shared) maps are compiled but never
+		// executed: their owner runs them.
 		if e.adopted[s.Target] {
 			continue
 		}
@@ -298,22 +362,13 @@ func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
 	return ct, nil
 }
 
-// tcompiler compiles one statement in typed mode.
+// tcompiler compiles one statement.
 type tcompiler struct {
 	e      *Engine
 	slots  map[string]int   // boxed slots (params, generic loop vars, boxed lets)
 	tslots map[string]tslot // typed slots (params, typed loop vars, typed lets)
 	nInt   int              // next free int slot
 	nFloat int              // next free float slot
-	demote map[string]bool  // packed maps that must fall back to generic
-}
-
-// demoted records that a packed map has an access site the type system
-// cannot prove int-safe; the engine rebuilds with the map generic. The
-// current compilation continues (to collect further demotions) producing
-// closures that are discarded.
-func (tc *tcompiler) demoted(name string) {
-	tc.demote[name] = true
 }
 
 func (tc *tcompiler) intSlot(name string) int {
@@ -435,7 +490,10 @@ func (tc *tcompiler) compileStmt(s *ir.Stmt) (stmtFn, error) {
 		}
 		keys[i] = kx
 	}
-	update := tc.compileUpdate(target, keys)
+	update, err := tc.compileUpdate(target, keys)
+	if err != nil {
+		return nil, err
+	}
 	body := func(env *cenv) {
 		for _, lt := range lets {
 			switch lt.cls {
@@ -450,9 +508,8 @@ func (tc *tcompiler) compileStmt(s *ir.Stmt) (stmtFn, error) {
 		if cond != nil && !cond(env) {
 			return
 		}
-		// NaN is the float kernels' NULL; the generic engine converts a
-		// Null delta to 0 (Value.Float) and skips it, so both guards drop
-		// exactly the same updates.
+		// NaN is the float kernels' NULL; a boxed Null delta reads as 0
+		// (Value.Float), so either way a NULL delta is no update.
 		d := delta(env)
 		if d == 0 || d != d {
 			return
@@ -488,34 +545,33 @@ func (f *keyFill) fill(env *cenv, k *key) {
 }
 
 // access compiles the key expressions bound at positions pos of an access
-// to m, returning the filler and the probe it fills. A packed map with a
-// key expression that cannot be proven int is demoted and ok is false: the
-// caller emits a no-op, since the engine rebuilds with the map generic.
-func (tc *tcompiler) access(m *Map, pos []int, exprs []texpr) (f *keyFill, k *key, ok bool) {
-	f = &keyFill{pos: pos}
+// to m, returning the filler and the probe it fills. mapLayout packs a map
+// only when every access proves its keys int, so a packed map reached with
+// any other key is a broken invariant, reported as an error.
+func (tc *tcompiler) access(m *Map, pos []int, exprs []texpr) (*keyFill, *key, error) {
+	f := &keyFill{pos: pos}
 	for _, x := range exprs {
 		if m.kind == storeGeneric {
 			f.vals = append(f.vals, x.box())
 		} else if x.cls == clsInt {
 			f.ints = append(f.ints, x.ifn)
 		} else {
-			tc.demoted(m.Name())
-			return nil, nil, false
+			return nil, nil, fmt.Errorf("runtime: internal error: packed map %s probed with a key not proven int", m.Name())
 		}
 	}
-	return f, &key{vals: make(types.Tuple, m.arity)}, true
+	return f, &key{vals: make(types.Tuple, m.arity)}, nil
 }
 
 // compileUpdate builds the target-side kernel.
-func (tc *tcompiler) compileUpdate(target *Map, keys []texpr) func(*cenv, float64) {
-	f, k, ok := tc.access(target, target.primary.positions, keys)
-	if !ok {
-		return func(*cenv, float64) {}
+func (tc *tcompiler) compileUpdate(target *Map, keys []texpr) (func(*cenv, float64), error) {
+	f, k, err := tc.access(target, target.primary.positions, keys)
+	if err != nil {
+		return nil, err
 	}
 	return func(env *cenv, d float64) {
 		f.fill(env, k)
 		target.add(k, d)
-	}
+	}, nil
 }
 
 // compileLoop wraps body in the iteration kernel for one loop level: a
@@ -575,9 +631,9 @@ func (tc *tcompiler) compileLoop(lp ir.Loop, pos []int, bounds []texpr, body stm
 		}
 		body(env)
 	}
-	f, k, ok := tc.access(m, pos, bounds)
-	if !ok {
-		return func(*cenv) {}, nil
+	f, k, err := tc.access(m, pos, bounds)
+	if err != nil {
+		return nil, err
 	}
 	if len(pos) == m.arity || (len(pos) > 0 && !tc.e.opts.NoSliceIndex) {
 		ix := m.EnsureSlice(pos)
@@ -601,7 +657,7 @@ func (tc *tcompiler) compileLoop(lp ir.Loop, pos []int, bounds []texpr, body stm
 }
 
 // compileExpr compiles one expression, choosing the strongest class the
-// annotations support and falling back to the boxed generic forms (types
+// annotations support and falling back to the boxed forms (types
 // arithmetic, CmpOp.Eval) whenever they do not.
 func (tc *tcompiler) compileExpr(x ir.Expr) (texpr, error) {
 	switch x := x.(type) {
@@ -639,9 +695,9 @@ func (tc *tcompiler) compileExpr(x ir.Expr) (texpr, error) {
 	return texpr{}, fmt.Errorf("runtime: unknown expression %T", x)
 }
 
-// compileLookup probes a map; the result is always a float (the generic
-// engine reads every aggregate back through types.NewFloat). Stored values
-// are never NaN, so no NULL can originate here.
+// compileLookup probes a map; the result is always a float (a map value
+// is a float64 sum, read back as types.NewFloat would box it). Stored
+// values are never NaN, so no NULL can originate here.
 func (tc *tcompiler) compileLookup(x *ir.Lookup) (texpr, error) {
 	m := tc.e.maps[x.Map]
 	if m == nil {
@@ -655,9 +711,9 @@ func (tc *tcompiler) compileLookup(x *ir.Lookup) (texpr, error) {
 		}
 		keys[i] = kx
 	}
-	f, k, ok := tc.access(m, m.primary.positions, keys)
-	if !ok {
-		return texpr{cls: clsFloat, ffn: func(*cenv) float64 { return 0 }}, nil
+	f, k, err := tc.access(m, m.primary.positions, keys)
+	if err != nil {
+		return texpr{}, err
 	}
 	return texpr{cls: clsFloat, ffn: func(env *cenv) float64 {
 		f.fill(env, k)
@@ -675,7 +731,7 @@ func (tc *tcompiler) compileArith(x *ir.Arith) (texpr, error) {
 		return texpr{}, err
 	}
 	// Both typed ints: native wrapping int64 arithmetic, exactly as
-	// types.arith performs it. Integer division is nullable (types.Div
+	// types.Add/Sub/Mul perform it on two ints. Integer division is nullable (types.Div
 	// yields Null for a zero divisor) and truncating, which the int kernel
 	// cannot express — it falls through to the boxed form below.
 	if l.cls == clsInt && r.cls == clsInt && x.Op != '/' {
@@ -690,10 +746,10 @@ func (tc *tcompiler) compileArith(x *ir.Arith) (texpr, error) {
 		}
 		return texpr{}, fmt.Errorf("runtime: bad arithmetic op %q", x.Op)
 	}
-	// Mixed int/float typed operands: the generic engine sees at least one
-	// float operand and evaluates through Value.Float(), which is exactly
+	// Mixed int/float typed operands: with at least one float operand
+	// types.Add/Sub/Mul/Div evaluate through Value.Float(), which is exactly
 	// asFloat. NaN (Null) propagates through + - * as Null does through
-	// types.arith.
+	// them.
 	if l.cls != clsBoxed && r.cls != clsBoxed && !(l.cls == clsInt && r.cls == clsInt) {
 		lf, rf := l.asFloat(), r.asFloat()
 		switch x.Op {
@@ -715,7 +771,7 @@ func (tc *tcompiler) compileArith(x *ir.Arith) (texpr, error) {
 		}
 		return texpr{}, fmt.Errorf("runtime: bad arithmetic op %q", x.Op)
 	}
-	// Boxed fallback: identical to the generic compiler.
+	// Boxed fallback: the types arithmetic itself.
 	lv, rv := l.box(), r.box()
 	switch x.Op {
 	case '+':
@@ -730,9 +786,10 @@ func (tc *tcompiler) compileArith(x *ir.Arith) (texpr, error) {
 	return texpr{}, fmt.Errorf("runtime: bad arithmetic op %q", x.Op)
 }
 
-// compileCmp compiles a comparison to an int kernel yielding 1 or 0.
-// Typed int pairs compare exactly; numeric pairs with a float side compare
-// as float64 (Value.Equal/Compare coerce through Float() identically), and
+// compileCmp compiles a comparison to an int kernel yielding 1 or 0, the
+// truth of CmpOp.Eval over the boxed operands. Typed int pairs compare
+// exactly; numeric pairs with a float side compare as float64
+// (Value.Equal/Compare coerce through Value.Float() identically), and
 // NaN's all-false comparisons reproduce CmpOp.Eval's Null handling — with
 // an explicit guard for !=, which requires both sides non-Null.
 func (tc *tcompiler) compileCmp(x *ir.CmpE) (texpr, error) {

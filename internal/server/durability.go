@@ -32,9 +32,9 @@ import (
 //	                        uint64 last-good WAL sequence (no blob — the
 //	                        engine was closed at demotion)
 //
-// All integers little-endian. v2 containers (no state byte, live entries
-// only) and v1 containers (no magic; they begin with the uint64 event
-// counter, no per-query from-seq) are still read. The SQL text rides along
+// All integers little-endian. Earlier container versions were never
+// deployed and are refused, as is a payload without the magic. The SQL
+// text rides along
 // so recovery can re-register queries beyond "main" and refuse, per query,
 // to load state written for different SQL. Queries registered after the
 // last checkpoint are restored from their REGISTER WAL records instead;
@@ -167,15 +167,19 @@ func (s *Server) writeStateLocked(w io.Writer, watermark uint64) error {
 // Listen.
 func (s *Server) restoreState(rd io.Reader) error {
 	br := bufio.NewReader(rd)
-	version := uint32(1)
-	if magic, err := br.Peek(4); err == nil && string(magic) == containerMagic {
-		br.Discard(4)
-		if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-			return fmt.Errorf("checkpoint container version: %w", err)
-		}
-		if version < 2 || version > containerVersion {
-			return fmt.Errorf("unsupported checkpoint container version %d", version)
-		}
+	magic := make([]byte, len(containerMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return fmt.Errorf("checkpoint container magic: %w", err)
+	}
+	if string(magic) != containerMagic {
+		return fmt.Errorf("bad checkpoint container magic %q", magic)
+	}
+	var version uint32
+	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+		return fmt.Errorf("checkpoint container version: %w", err)
+	}
+	if version != containerVersion {
+		return fmt.Errorf("unsupported checkpoint container version %d", version)
 	}
 	var events uint64
 	if err := binary.Read(br, binary.LittleEndian, &events); err != nil {
@@ -196,16 +200,12 @@ func (s *Server) restoreState(rd io.Reader) error {
 			return err
 		}
 		var fromSeq uint64
-		if version >= 2 {
-			if err := binary.Read(br, binary.LittleEndian, &fromSeq); err != nil {
-				return fmt.Errorf("checkpoint from-seq: %w", err)
-			}
+		if err := binary.Read(br, binary.LittleEndian, &fromSeq); err != nil {
+			return fmt.Errorf("checkpoint from-seq: %w", err)
 		}
 		var qstate uint8
-		if version >= 3 {
-			if err := binary.Read(br, binary.LittleEndian, &qstate); err != nil {
-				return fmt.Errorf("checkpoint query state: %w", err)
-			}
+		if err := binary.Read(br, binary.LittleEndian, &qstate); err != nil {
+			return fmt.Errorf("checkpoint query state: %w", err)
 		}
 		if qstate == qstateQuarantined {
 			reason, err := readString32(br, "quarantine reason")

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/types"
+	"dbtoaster/internal/wal"
 )
 
 func mainEngine(t *testing.T, s *Server) engine.CompiledEngine {
@@ -239,6 +242,48 @@ func TestServerWALDirGuards(t *testing.T) {
 	_, plain := startServer(t, sql)
 	if _, _, err := plain.Checkpoint(); err == nil {
 		t.Fatal("CHECKPOINT without WAL dir should be a protocol error")
+	}
+}
+
+// TestServerRecoverRefusesOldContainers: only the current checkpoint
+// container version is read. A v2 container ("DBTQ", version 2, no query
+// state byte) and a payload without the "DBTQ" magic (the v1 layout: the
+// event counter first) were never deployed, and recovery refuses both
+// instead of guessing at their layout.
+func TestServerRecoverRefusesOldContainers(t *testing.T) {
+	v2 := binary.LittleEndian.AppendUint32([]byte(containerMagic), 2)
+	v2 = binary.LittleEndian.AppendUint64(v2, 0) // event counter
+	v2 = binary.LittleEndian.AppendUint32(v2, 0) // query count
+	v1 := binary.LittleEndian.AppendUint64(nil, 0)
+	v1 = binary.LittleEndian.AppendUint32(v1, 0)
+	for _, tc := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"v2", "unsupported checkpoint container version 2", v2},
+		{"no-magic", "bad checkpoint container magic", v1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := m.Checkpoint(func(w io.Writer, _ uint64) error {
+				_, err := w.Write(tc.payload)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewWithOptions("select B, sum(A) from R group by B", durCatalog(),
+				Options{WALDir: dir, Recover: true})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("recovery from a %s container: err = %v, want %q", tc.name, err, tc.want)
+			}
+		})
 	}
 }
 

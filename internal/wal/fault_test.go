@@ -24,28 +24,30 @@ import (
 // no shorter than what was acknowledged; the run then resumes and must
 // converge on the uninterrupted final state.
 
+// A faultVariant is one physical layout the matrix runs over: the fault
+// query's columns are col, so "int" packs every keyed map and "float"
+// leaves every map in the generic layout. The int events are widened to
+// float at admission, live and in replay alike, so both variants log and
+// checkpoint the same number of bytes.
 type faultVariant struct {
-	name  string
-	build func(q *engine.Query) (engine.Engine, error)
+	name string
+	col  string
 }
 
 func faultVariants() []faultVariant {
-	return []faultVariant{
-		{"single", func(q *engine.Query) (engine.Engine, error) {
-			return engine.NewToaster(q, runtime.Options{})
-		}},
-		{"generic", func(q *engine.Query) (engine.Engine, error) {
-			return engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
-		}},
-	}
+	return []faultVariant{{"single", "int"}, {"generic", "float"}}
 }
 
-func faultQuery(t *testing.T) *engine.Query {
+func (faultVariant) build(q *engine.Query) (engine.Engine, error) {
+	return engine.NewToaster(q, runtime.Options{})
+}
+
+func faultQuery(t *testing.T, col string) *engine.Query {
 	t.Helper()
 	cat := schema.NewCatalog(
-		schema.NewRelation("R", "A:int", "B:int"),
-		schema.NewRelation("S", "B:int", "C:int"),
-		schema.NewRelation("T", "C:int", "D:int"),
+		schema.NewRelation("R", "A:"+col, "B:"+col),
+		schema.NewRelation("S", "B:"+col, "C:"+col),
+		schema.NewRelation("T", "C:"+col, "D:"+col),
 	)
 	q, err := engine.Prepare("select sum(A*D) from R, S, T where R.B=S.B and S.C=T.C", cat)
 	if err != nil {
@@ -225,11 +227,25 @@ func enumerateCrashPoints(t *testing.T, v faultVariant, q *engine.Query,
 // the uninterrupted final state.
 func TestCrashRecoveryFaultMatrix(t *testing.T) {
 	const nEvents, ckptEvery = 12, 5
-	q := faultQuery(t)
 	evs := faultEvents(nEvents)
 	for _, v := range faultVariants() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
+			q := faultQuery(t, v.col)
+			e, err := v.build(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			generic := 0
+			stats := e.(*engine.Toaster).MapStats()
+			for _, st := range stats {
+				if st.Layout == "generic" {
+					generic++
+				}
+			}
+			if wantAll := v.col != "int"; wantAll != (generic == len(stats)) {
+				t.Fatalf("%s: %d of %d maps generic", v.name, generic, len(stats))
+			}
 			refs := referenceDigests(t, v, q, evs)
 			points := enumerateCrashPoints(t, v, q, evs, ckptEvery)
 			if len(points) < nEvents {
@@ -287,7 +303,7 @@ func TestCrashRecoveryFaultMatrix(t *testing.T) {
 // recovery still lands on a valid prefix.
 func TestDoubleCrashRecovery(t *testing.T) {
 	const nEvents = 12
-	q := faultQuery(t)
+	q := faultQuery(t, "int")
 	evs := faultEvents(nEvents)
 	v := faultVariants()[0]
 	refs := referenceDigests(t, v, q, evs)

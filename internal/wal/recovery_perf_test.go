@@ -60,7 +60,7 @@ func BenchmarkReplay(b *testing.B) {
 // fresh engine, b.N times. It reports ns and allocations per event covered.
 func benchmarkReplay(b *testing.B, ckptAt int, reader replayReader) {
 	t := &testing.T{}
-	q := faultQuery(t)
+	q := faultQuery(t, "int")
 	v := faultVariants()[0] // the single compiled engine
 	dir := b.TempDir()
 	m, err := wal.Open(dir, wal.Options{})

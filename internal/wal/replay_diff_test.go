@@ -139,19 +139,6 @@ func randomLogRecords(r *rand.Rand, n int) [][]byte {
 	return recs
 }
 
-type replayVariant struct {
-	name  string
-	build func(q *engine.Query) (engine.Engine, error)
-}
-
-// replayVariants are the Toaster over typed and over generic storage.
-var replayVariants = []replayVariant{
-	{"toaster", func(q *engine.Query) (engine.Engine, error) { return engine.NewToaster(q, runtime.Options{}) }},
-	{"generic", func(q *engine.Query) (engine.Engine, error) {
-		return engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
-	}},
-}
-
 func TestReplayDifferential(t *testing.T) {
 	cat := replayDiffCatalog()
 	q, err := engine.Prepare(replayDiffSQL, cat)
@@ -160,118 +147,116 @@ func TestReplayDifferential(t *testing.T) {
 	}
 	// What a catching-up query keeps: relations its program has triggers on.
 	keep := func(rel *schema.Relation) bool { return rel.Name != "audit" }
-	for _, v := range replayVariants {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", v.name, seed), func(t *testing.T) {
-				r := rand.New(rand.NewSource(seed))
-				dir := t.TempDir()
-				m, err := wal.Open(dir, wal.Options{})
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("toaster/seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			m, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			recs := randomLogRecords(r, 4000)
+			early := len(recs) / 2
+			for lo := 0; lo < early; lo += 100 {
+				if _, err := m.AppendBatch(recs[lo:min(lo+100, early)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			build := func() engine.Engine {
+				e, err := engine.NewToaster(q, runtime.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer m.Close()
-				recs := randomLogRecords(r, 4000)
-				early := len(recs) / 2
-				for lo := 0; lo < early; lo += 100 {
-					if _, err := m.AppendBatch(recs[lo:min(lo+100, early)]); err != nil {
-						t.Fatal(err)
+				return e
+			}
+			batched := build()
+			src := wal.EventSource{Catalog: cat, Keep: keep}
+			var cur wal.Cursor
+			var first uint64
+			passes := 0
+			advance := func(until uint64) {
+				t.Helper()
+				info, err := replayBatched(m, batched, src, &cur, until)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == 0 {
+					first = info.First
+				}
+				passes++
+			}
+
+			// A writer appends the second half while the batched replay
+			// makes its passes, as a registration's catch-up does.
+			done := make(chan error, 1)
+			go func() {
+				for lo := early; lo < len(recs); lo += 37 {
+					if _, err := m.AppendBatch(recs[lo:min(lo+37, len(recs))]); err != nil {
+						done <- err
+						return
 					}
 				}
-
-				build := func() engine.Engine {
-					e, err := v.build(q)
+				done <- nil
+			}()
+			for writing := true; writing; {
+				select {
+				case err := <-done:
 					if err != nil {
 						t.Fatal(err)
 					}
-					return e
+					writing = false
+				default:
+					advance(0)
 				}
-				batched := build()
-				src := wal.EventSource{Catalog: cat, Keep: keep}
-				var cur wal.Cursor
-				var first uint64
-				passes := 0
-				advance := func(until uint64) {
-					t.Helper()
-					info, err := replayBatched(m, batched, src, &cur, until)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if first == 0 {
-						first = info.First
-					}
-					passes++
-				}
+			}
+			// The record in flight when the process died: half of it.
+			torn := wal.AppendEventRecord(nil, "cust", true, types.Tuple{types.NewString("torn"), types.NewInt(1)})
+			f, err := os.OpenFile(filepath.Join(dir, "wal-00000001.log"), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(torn[:len(torn)-5])
+			f.Close()
+			advance(0)
+			if cur.Seq != uint64(len(recs)) {
+				t.Fatalf("batched replay stopped at seq %d of %d after %d passes", cur.Seq, len(recs), passes)
+			}
 
-				// A writer appends the second half while the batched replay
-				// makes its passes, as a registration's catch-up does.
-				done := make(chan error, 1)
-				go func() {
-					for lo := early; lo < len(recs); lo += 37 {
-						if _, err := m.AppendBatch(recs[lo:min(lo+37, len(recs))]); err != nil {
-							done <- err
-							return
-						}
-					}
-					done <- nil
-				}()
-				for writing := true; writing; {
-					select {
-					case err := <-done:
-						if err != nil {
-							t.Fatal(err)
-						}
-						writing = false
-					default:
-						advance(0)
-					}
-				}
-				// The record in flight when the process died: half of it.
-				torn := wal.AppendEventRecord(nil, "cust", true, types.Tuple{types.NewString("torn"), types.NewInt(1)})
-				f, err := os.OpenFile(filepath.Join(dir, "wal-00000001.log"), os.O_WRONLY|os.O_APPEND, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Write(torn[:len(torn)-5])
-				f.Close()
-				advance(0)
-				if cur.Seq != uint64(len(recs)) {
-					t.Fatalf("batched replay stopped at seq %d of %d after %d passes", cur.Seq, len(recs), passes)
-				}
+			reference := build()
+			wantFirst, wantLast, err := replayPerEvent(m, reference, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first != wantFirst || cur.Seq != wantLast {
+				t.Fatalf("batched replay covered %d..%d, per-event %d..%d", first, cur.Seq, wantFirst, wantLast)
+			}
+			if !bytes.Equal(stateDigest(t, batched), stateDigest(t, reference)) {
+				t.Fatalf("state after batched replay (%d passes) differs from per-event replay", passes)
+			}
 
-				reference := build()
-				wantFirst, wantLast, err := replayPerEvent(m, reference, 0, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first != wantFirst || cur.Seq != wantLast {
-					t.Fatalf("batched replay covered %d..%d, per-event %d..%d", first, cur.Seq, wantFirst, wantLast)
-				}
-				if !bytes.Equal(stateDigest(t, batched), stateDigest(t, reference)) {
-					t.Fatalf("state after batched replay (%d passes) differs from per-event replay", passes)
-				}
-
-				// A bounded range, as recovery replays a REGISTER record's
-				// catch-up: records in (after, until) only.
-				after, until := uint64(len(recs)/5), uint64(len(recs)*4/5)
-				ranged, rangedRef := build(), build()
-				rcur := wal.Cursor{Seq: after}
-				info, err := replayBatched(m, ranged, src, &rcur, until)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantFirst, wantLast, err = replayPerEvent(m, rangedRef, after, until)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info.First != wantFirst || info.Last != wantLast || wantLast != until-1 {
-					t.Fatalf("ranged batched replay covered %d..%d, per-event %d..%d, asked (%d, %d)",
-						info.First, info.Last, wantFirst, wantLast, after, until)
-				}
-				if !bytes.Equal(stateDigest(t, ranged), stateDigest(t, rangedRef)) {
-					t.Fatal("state after ranged batched replay differs from per-event replay")
-				}
-			})
-		}
+			// A bounded range, as recovery replays a REGISTER record's
+			// catch-up: records in (after, until) only.
+			after, until := uint64(len(recs)/5), uint64(len(recs)*4/5)
+			ranged, rangedRef := build(), build()
+			rcur := wal.Cursor{Seq: after}
+			info, err := replayBatched(m, ranged, src, &rcur, until)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFirst, wantLast, err = replayPerEvent(m, rangedRef, after, until)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.First != wantFirst || info.Last != wantLast || wantLast != until-1 {
+				t.Fatalf("ranged batched replay covered %d..%d, per-event %d..%d, asked (%d, %d)",
+					info.First, info.Last, wantFirst, wantLast, after, until)
+			}
+			if !bytes.Equal(stateDigest(t, ranged), stateDigest(t, rangedRef)) {
+				t.Fatal("state after ranged batched replay differs from per-event replay")
+			}
+		})
 	}
 }
 

@@ -7,9 +7,6 @@
 #   scripts/bench.sh                     # default 20000x iterations
 #   BENCHTIME=100x scripts/bench.sh      # quick smoke (used by check)
 #   ENGINE='.' scripts/bench.sh          # include the baselines too
-#   SUITE=typed scripts/bench.sh         # typed-vs-generic storage ablation
-#                                        # (BenchmarkAblationTypedStorage →
-#                                        # BENCH_typed.json)
 #   SUITE=metrics scripts/bench.sh       # instrumentation overhead
 #                                        # (BenchmarkMetricsOverhead →
 #                                        # BENCH_metrics.json; live
@@ -54,10 +51,6 @@ hotpath)
     OUT="${OUT:-BENCH_hotpath.json}"
     PKG=". ./internal/runtime"
     ;;
-typed)
-    PATTERN='^BenchmarkAblationTypedStorage/'
-    OUT="${OUT:-BENCH_typed.json}"
-    ;;
 metrics)
     PATTERN='^BenchmarkMetricsOverhead/'
     OUT="${OUT:-BENCH_metrics.json}"
@@ -81,7 +74,7 @@ overload)
     if [ "$BENCHTIME" = 20000x ]; then BENCHTIME=2000x; fi
     ;;
 *)
-    echo "unknown SUITE '$SUITE' (hotpath|typed|metrics|registry|overload)" >&2
+    echo "unknown SUITE '$SUITE' (hotpath|metrics|registry|overload)" >&2
     exit 2
     ;;
 esac

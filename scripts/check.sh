@@ -25,7 +25,7 @@ echo "== bench smoke ==" && go test -run xxx -bench '^(BenchmarkFinancial|Benchm
 echo "== metrics overhead smoke ==" && sh scripts/metrics_smoke.sh
 
 # Crash recovery: the in-process fault-injection matrix (every WAL/
-# checkpoint crash point, every torn-write split, typed and generic engines),
+# checkpoint crash point, every torn-write split, packed and generic layouts),
 # then a real kill -9 against a live dbtserver with state compared across
 # the restart.
 echo "== crash recovery ==" && go test ./internal/wal/ -run 'TestCrashRecoveryFaultMatrix|TestDoubleCrashRecovery' -count=1
@@ -53,8 +53,8 @@ BENCHTIME=10x SUITE=registry OUT="${TMPDIR:-/tmp}/BENCH_registry_smoke.json" sh 
 
 # Replay smoke: replay is live ingest fed from disk, and a catch-up reads
 # the log while the commit lane appends to it — so the differential property
-# test (batched streaming replay vs the record-at-a-time loop, on typed and
-# generic Toasters, with a writer appending during the passes), the cursor
+# test (batched streaming replay vs the record-at-a-time loop, with a
+# writer appending during the passes), the cursor
 # and read-volume gates, and the crash-recovery fault matrix run under the
 # race detector at real parallelism.
 echo "== replay smoke (GOMAXPROCS=4) ==" && GOMAXPROCS=4 go test -race -count=1 \
@@ -91,8 +91,8 @@ if [ -n "$cgo_users" ]; then
 fi
 
 # Qgen differential + fuzz smoke: seeded random queries over the widened
-# SQL surface (AVG, EXISTS/IN, LEFT OUTER JOIN) must agree bitwise across
-# the typed and generic engines and the re-evaluating oracle,
+# SQL surface (AVG, EXISTS/IN, LEFT OUTER JOIN) must agree bitwise with
+# the re-evaluating oracle,
 # then a short coverage-guided pass over the seed space.
 echo "== qgen differential smoke ==" && go test ./internal/qgen/ -run 'TestQgenDifferential|TestQgenAlwaysCompiles' -short -count=1
 echo "== qgen fuzz smoke ==" && go test ./internal/qgen/ -run xxx -fuzz FuzzQueryAgreement -fuzztime 10s
